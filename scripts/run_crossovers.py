@@ -1,51 +1,32 @@
 #!/usr/bin/env python3
 """Locate the Markovian/non-Markovian crossover scattering length in 1D/2D/3D.
 
-Writes one CSV row per dimension and prints a summary table.  With default
-parameters this reproduces the reference values a_crit/a_Rb ~ 0.034 (3D),
-0.122 (2D), 0.183 (1D) in a few minutes.
+Runs `becqubit crossover` once per dimension and writes crossover_<D>d.csv,
+each with its manifest digest in the header and a .manifest.json sidecar.
+With default parameters this reproduces the reference values
+a_crit/a_Rb ~ 0.034 (3D), 0.122 (2D), 0.183 (1D) in a few minutes.
 """
 
 import argparse
-import csv
+import os
 import sys
-import time
 
-from becqubit import default_config, find_crossover
-from becqubit.constants import A_RB
+from becqubit import cli
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--tol-arb", type=float, default=1e-3,
-                        help="bisection tolerance in units of a_Rb")
-    parser.add_argument("--out", default="crossovers.csv")
-    args = parser.parse_args()
+    parser.add_argument("--tol-arb", default="1e-3", help="bisection tolerance in units of a_Rb")
+    parser.add_argument("--out-dir", default=".")
+    args = parser.parse_args(argv)
 
-    config = default_config()
-    rows = []
     for dim in (3, 2, 1):
-        t0 = time.time()
-        res = find_crossover(dim, config, tol=args.tol_arb * A_RB)
-        elapsed = time.time() - t0
-        rows.append({
-            "dimension": dim,
-            "a_crit_over_aRb": res.a_crit_over_aRb,
-            "a_crit_m": res.a_crit,
-            "bracket_lo_m": res.bracket[0],
-            "bracket_hi_m": res.bracket[1],
-            "evaluations": res.evaluations,
-            "seconds": round(elapsed, 1),
-        })
-        print(f"{dim}D: a_crit = {res.a_crit_over_aRb:.4f} a_Rb "
-              f"({res.evaluations} classifications, {elapsed:.0f}s)")
-
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {args.out}")
-    return 0
+        out = os.path.join(args.out_dir, f"crossover_{dim}d.csv")
+        code = cli.main(["crossover", "--dimension", str(dim), "--tol-arb", args.tol_arb, "--out", out])
+        if code != cli.EXIT_OK:
+            return code
+        print(f"wrote {out}")
+    return cli.EXIT_OK
 
 
 if __name__ == "__main__":

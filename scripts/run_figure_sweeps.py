@@ -1,52 +1,46 @@
 #!/usr/bin/env python3
 """Recovered-information curves N(a_B): per well separation (3D) and per dimension.
 
-Produces two CSV files mirroring the standard presentation of this system:
-  sweep_L.csv    N(a_B) for L = 50, 75, 100 nm in 3D, a_B up to 3 a_Rb
-  sweep_dim.csv  N(a_B) for D = 1, 2, 3 at L = 75 nm, a_B up to each cap
+Runs `becqubit sweep` along a_B and writes one CSV per curve, each with its
+manifest digest in the header and a .manifest.json sidecar:
+  sweep_L<L>nm.csv  N(a_B) for L = 50, 75, 100 nm in 3D, a_B up to 3 a_Rb
+  sweep_<D>d.csv    N(a_B) for D = 1, 2, 3 at L = 75 nm, a_B up to each cap
+Exits 3 if any sweep point failed; the other points are still written.
 """
 
 import argparse
-import csv
+import os
 import sys
 
 import numpy as np
 
-from becqubit import default_config, sweep
+from becqubit import cli
 from becqubit.analysis import A_B_MAX_OVER_ARB
-from becqubit.constants import A_RB
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--points", type=int, default=12)
-    args = parser.parse_args()
+    parser.add_argument("--out-dir", default=".")
+    args = parser.parse_args(argv)
 
-    with open("sweep_L.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["L_nm", "a_B_over_aRb", "N", "status"])
-        for L_nm in (50, 75, 100):
-            cfg = default_config(L=L_nm * 1e-9)
-            grid = np.linspace(0.01, 3.0, args.points) * A_RB
-            table = sweep("a_B", grid, cfg)
-            for v, N, diag in zip(table.values, table.N, table.diagnostics):
-                writer.writerow([L_nm, v / A_RB, N, diag.get("status")])
-            print(f"L = {L_nm} nm done")
+    def grid(cap: float) -> str:
+        return ",".join(repr(float(v)) for v in np.linspace(0.01, cap, args.points))
 
-    with open("sweep_dim.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dimension", "a_B_over_aRb", "N", "status"])
-        for dim in (3, 2, 1):
-            cfg = default_config(dimension=dim)
-            cap = A_B_MAX_OVER_ARB[dim]
-            grid = np.linspace(0.01, cap, args.points) * A_RB
-            table = sweep("a_B", grid, cfg)
-            for v, N, diag in zip(table.values, table.N, table.diagnostics):
-                writer.writerow([dim, v / A_RB, N, diag.get("status")])
-            print(f"D = {dim} done")
-
-    print("wrote sweep_L.csv, sweep_dim.csv")
-    return 0
+    runs = [(f"sweep_L{L_nm}nm.csv", ["--l-nm", str(L_nm), "--grid", grid(3.0)]) for L_nm in (50, 75, 100)]
+    runs += [
+        (f"sweep_{dim}d.csv", ["--dimension", str(dim), "--grid", grid(A_B_MAX_OVER_ARB[dim])])
+        for dim in (3, 2, 1)
+    ]
+    failed = False
+    for name, flags in runs:
+        out = os.path.join(args.out_dir, name)
+        code = cli.main(["sweep", "--axis", "a_B", *flags, "--out", out])
+        if code not in (cli.EXIT_OK, cli.EXIT_CONVERGENCE):
+            return code
+        failed = failed or code == cli.EXIT_CONVERGENCE
+        print(f"wrote {out}")
+    return cli.EXIT_CONVERGENCE if failed else cli.EXIT_OK
 
 
 if __name__ == "__main__":

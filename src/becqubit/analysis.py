@@ -182,8 +182,8 @@ class ToyModel:
             raise ValueError(f"omega_c must be > 0, got {self.omega_c}")
 
 
-def _toy_panels(toy: ToyModel, t: float, refine: int = 0):
-    """Oscillation-aware panels on [0, 8 omega_c], geometrically graded at 0.
+def _toy_panels(toy: ToyModel, t: float, refine: int = 0) -> np.ndarray:
+    """Oscillation-aware panel edges on [0, 8 omega_c], geometrically graded at 0.
 
     The dephasing-rate integrand omega^(s-1) sin(omega t) behaves like
     t*omega^s near zero; grading removes the algebraic endpoint error for
@@ -194,13 +194,14 @@ def _toy_panels(toy: ToyModel, t: float, refine: int = 0):
     edges = np.linspace(0.0, omega_max, n_p + 1)
     first = edges[1]
     graded = first * 0.5 ** np.arange(40, -1, -1.0)
-    edges = np.concatenate(([0.0], graded[:-1], edges[1:]))
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    w = (mid[:, None] + half[:, None] * engine._NODES[None, :]).ravel()
-    wt = (half[:, None] * engine._WEIGHTS[None, :]).ravel()
-    return w, wt
+    return np.concatenate(([0.0], graded[:-1], edges[1:]))
+
+
+def _toy_nodes(toy: ToyModel, t: float, refine: int = 0) -> engine._NodeSet:
+    """Nodes of int J(omega)/omega sin(omega t) domega, resolved up to time t."""
+    w, wt = engine._gauss_legendre(_toy_panels(toy, t, refine))
+    coeff = wt * w ** (toy.s - 1.0) * np.exp(-((w / toy.omega_c) ** 2))
+    return engine._NodeSet(coeff=coeff, energy=w)
 
 
 def toy_rate(toy: ToyModel, t: float) -> float:
@@ -214,41 +215,19 @@ def toy_rate(toy: ToyModel, t: float) -> float:
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return 0.0
-
-    def evaluate(refine: int) -> tuple[float, float]:
-        w, wt = _toy_panels(toy, t, refine)
-        coeff = wt * w ** (toy.s - 1.0) * np.exp(-((w / toy.omega_c) ** 2))
-        return float(coeff @ np.sin(w * t)), float(coeff.sum())
-
-    prev, envelope = evaluate(0)
-    achieved = math.inf
-    for refine in range(1, engine.MAX_REFINE + 1):
-        cur, _ = evaluate(refine)
-        # changes below 1e-12 of the envelope are cancellation noise
-        achieved = abs(cur - prev) / max(abs(cur), 1e-12 * envelope, 1e-300)
-        if abs(cur - prev) <= max(engine.RATE_RTOL * abs(cur), 1e-12 * envelope):
-            return cur
-        prev = cur
-    raise engine.ConvergenceError("toy rate quadrature did not converge", achieved)
+    failure = "toy rate quadrature did not converge"
+    return engine._refine(lambda refine: _toy_nodes(toy, t, refine), lambda ns: ns.rate_at(t), "rate", failure)
 
 
 def toy_rate_trace(toy: ToyModel, t_max: float, n_points: int = TOY_GRID):
     """Toy rate on a uniform grid via the rotation recurrence."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
+    if n_points < 2:
+        raise ValueError("n_points must be at least 2")
     times = np.linspace(0.0, t_max, n_points)
-    w, wt = _toy_panels(toy, t_max)
-    coeff = wt * w ** (toy.s - 1.0) * np.exp(-((w / toy.omega_c) ** 2))
-    out = np.empty(n_points)
-    out[0] = 0.0
-    dt = times[1] - times[0]
-    z = np.exp(1j * w * times[1])
-    rot = np.exp(1j * w * dt)
-    for j in range(1, n_points):
-        out[j] = coeff @ z.imag
-        z *= rot
-        if j % 256 == 0:  # re-anchor against phase drift
-            z = np.exp(1j * w * times[min(j + 1, n_points - 1)])
+    nodes = _toy_nodes(toy, t_max)
+    out = engine._scan_uniform(lambda s_end: nodes, times, "rate")
     # verify against the adaptive pointwise value at the end of the window
     ref = toy_rate(toy, float(times[-1]))
     if abs(out[-1] - ref) > 1e-6 * max(np.abs(out).max(), abs(ref)):

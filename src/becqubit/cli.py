@@ -22,9 +22,11 @@ import numpy as np
 from . import __version__, analysis, dynamics, engine
 from .constants import A_RB
 from .params import (
+    _CONFIG_KEYS,
     PhysicalConfig,
     apply_overrides,
     config_items,
+    config_overrides,
     default_config,
     model_from_config,
     parse_config_file,
@@ -51,63 +53,22 @@ def _fmt(value) -> str:
 # config resolution: defaults < config file < flags
 # ---------------------------------------------------------------------------
 
-# flag dest -> (field, scale to SI); mirrors the config-file key table
-_FLAGS = {
-    "dimension": ("dimension", None),
-    "m_b_u": ("m_B", "amu"),
-    "m_a_u": ("m_A", "amu"),
-    "a_b_nm": ("a_B", 1e-9),
-    "a_b_over_arb": ("a_B", A_RB),
-    "a_ab_a0": ("a_AB", "a0"),
-    "a_ab_nm": ("a_AB", 1e-9),
-    "n0_per_m3": ("n0", 1.0),
-    "tau_nm": ("tau", 1e-9),
-    "l_nm": ("L", 1e-9),
-    "a_z_nm": ("a_z", 1e-9),
-    "a_perp_nm": ("a_perp", 1e-9),
-    "lambda_lattice_nm": ("lambda_lattice", 1e-9),
-}
+
+def _flag(key: str) -> str:
+    """Command-line spelling of a config-file key: L_nm -> --l-nm."""
+    return "--" + key.lower().replace("_", "-")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    parser.add_argument("--dimension", type=int, choices=(1, 2, 3))
-    parser.add_argument("--m-b-u", type=float, help="boson mass, atomic mass units")
-    parser.add_argument("--m-a-u", type=float, help="impurity mass, atomic mass units")
-    parser.add_argument("--a-b-nm", type=float, help="boson scattering length, nm")
-    parser.add_argument("--a-b-over-arb", type=float, help="boson scattering length, units of a_Rb")
-    parser.add_argument("--a-ab-a0", type=float, help="impurity-boson scattering length, Bohr radii")
-    parser.add_argument("--a-ab-nm", type=float, help="impurity-boson scattering length, nm")
-    parser.add_argument("--n0-per-m3", type=float, help="3D condensate density, m^-3")
-    parser.add_argument("--tau-nm", type=float, help="trap parameter, nm")
-    parser.add_argument("--l-nm", type=float, help="half well separation, nm")
-    parser.add_argument("--a-z-nm", type=float, help="quasi-2D axial length, nm")
-    parser.add_argument("--a-perp-nm", type=float, help="quasi-1D transverse length, nm")
-    parser.add_argument("--lambda-lattice-nm", type=float, help="lattice wavelength, nm")
-    parser.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    parser.add_argument("--seed", type=int, default=dynamics.DEFAULT_SEED)
+    for key in _CONFIG_KEYS:
+        parser.add_argument(_flag(key), dest=key, metavar="VALUE", help=f"as config key {key}")
 
 
 def _resolve_config(args) -> PhysicalConfig:
-    from .constants import ATOMIC_MASS_KG, BOHR_RADIUS
-
-    overrides: dict = {}
-    if args.config:
-        overrides.update(parse_config_file(args.config))
-    scales = {"amu": ATOMIC_MASS_KG, "a0": BOHR_RADIUS}
-    both = [("a_b_nm", "a_b_over_arb"), ("a_ab_a0", "a_ab_nm")]
-    for d1, d2 in both:
-        if getattr(args, d1) is not None and getattr(args, d2) is not None:
-            raise ValueError(f"--{d1.replace('_', '-')} and --{d2.replace('_', '-')} conflict")
-    for dest, (fieldname, scale) in _FLAGS.items():
-        value = getattr(args, dest, None)
-        if value is None:
-            continue
-        if fieldname == "dimension":
-            overrides[fieldname] = int(value)
-        else:
-            factor = scales[scale] if isinstance(scale, str) else scale
-            overrides[fieldname] = float(value) * factor
+    overrides = parse_config_file(args.config) if args.config else {}
+    flags = [(_flag(key), key, getattr(args, key)) for key in _CONFIG_KEYS if getattr(args, key) is not None]
+    overrides.update(config_overrides(flags))
     return apply_overrides(default_config(), overrides)
 
 
@@ -177,12 +138,11 @@ def emit(args, manifest: dict, columns: list[str], rows: list[list], trailer: st
         sys.stdout.write(text)
 
 
-def _time_grid(args, model) -> np.ndarray:
+def _t_max(args, model) -> float:
     if args.t_max_t0 is not None:
-        t_max = args.t_max_t0 * model.t0
-    else:
-        t_max, _ = dynamics.choose_horizon(model)
-    return np.linspace(0.0, t_max, args.points)
+        return args.t_max_t0 * model.t0
+    t_max, _ = dynamics.choose_horizon(model)
+    return t_max
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +153,10 @@ def _time_grid(args, model) -> np.ndarray:
 def cmd_rate(args) -> int:
     config = _resolve_config(args)
     model = model_from_config(config)
-    grid = _time_grid(args, model)
-    trace = engine.build_rate_trace(model, float(grid[-1]), n_points=len(grid))
+    t_max = _t_max(args, model)
+    trace = engine.build_rate_trace(model, t_max, n_points=args.points)
     manifest = build_manifest(
-        "rate", config, {"t_max_s": _fmt(grid[-1]), "points": args.points}
+        "rate", config, {"t_max_s": _fmt(t_max), "points": args.points}
     )
     rows = [[t, g] for t, g in zip(trace.times, trace.gamma)]
     emit(args, manifest, ["t_s", "gamma_per_s"], rows)
@@ -206,10 +166,10 @@ def cmd_rate(args) -> int:
 def cmd_decoherence(args) -> int:
     config = _resolve_config(args)
     model = model_from_config(config)
-    grid = _time_grid(args, model)
-    trace = engine.build_decoherence_trace(model, float(grid[-1]), n_points=len(grid))
+    t_max = _t_max(args, model)
+    trace = engine.build_decoherence_trace(model, t_max, n_points=args.points)
     manifest = build_manifest(
-        "decoherence", config, {"t_max_s": _fmt(grid[-1]), "points": args.points}
+        "decoherence", config, {"t_max_s": _fmt(t_max), "points": args.points}
     )
     rows = [[t, G, c] for t, G, c in zip(trace.times, trace.Gamma, trace.coherence)]
     emit(args, manifest, ["t_s", "Gamma", "coherence"], rows)
@@ -276,19 +236,13 @@ def cmd_sweep(args) -> int:
         raw = [float(v) for v in args.grid.split(",") if v.strip()]
     except ValueError as exc:
         raise ValueError(f"bad --grid: {exc}") from exc
-    if args.axis == "a_B":
-        values = [v * A_RB for v in raw]
-        col = "a_B_over_aRb"
-        out_values = raw
-    else:
-        values = [v * 1e-9 for v in raw]
-        col = "L_nm"
-        out_values = raw
-    table = analysis.sweep(args.axis, values, config)
+    col = {"a_B": "a_B_over_aRb", "L": "L_nm"}[args.axis]  # the config key of the grid unit
+    _, scale = _CONFIG_KEYS[col]
+    table = analysis.sweep(args.axis, [v * scale for v in raw], config)
     manifest = build_manifest("sweep", config, {"axis": args.axis, "grid": args.grid})
     rows = []
     failed = False
-    for v, N, diag in zip(out_values, table.N, table.diagnostics):
+    for v, N, diag in zip(raw, table.N, table.diagnostics):
         status = diag.get("status", "ok")
         failed = failed or status != "ok"
         rows.append([v, N if N == N else "", status])
@@ -376,9 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, config=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        _add_config_flags(p)
+        if config:
+            _add_config_flags(p)
+        p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
         p.set_defaults(fn=fn)
         return p
 
@@ -408,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit-lo-per-s", type=float)
     p.add_argument("--fit-hi-per-s", type=float)
 
-    p = add("toy", cmd_toy, help="toy Ohmic-family spectrum rate / critical exponent")
+    p = add("toy", cmd_toy, config=False, help="toy Ohmic-family spectrum rate / critical exponent")
     p.add_argument("--s", type=float, default=2.0)
     p.add_argument("--omega-c", type=float, default=1.0)
     p.add_argument("--t-max-wc", type=float, default=64.0, help="window in units of 1/omega_c")
@@ -418,6 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify-pairs", cmd_verify_pairs, help="optimal-pair property over random states")
     p.add_argument("--pairs", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=dynamics.DEFAULT_SEED)
     p.add_argument("--t-max-t0", type=float)
 
     return parser

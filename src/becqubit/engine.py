@@ -3,9 +3,11 @@
 The integrals all share the same structure: a smooth positive envelope
 f(q) = q^(D-1) W_D(q*ell) exp(-q^2/2) / (q^2/2 + u_tilde)  (reduced units)
 times an oscillatory factor built from the Bogoliubov phase E(q)*t.  They are
-evaluated with composite 16-node Gauss-Legendre panels sized so that no panel
-sees more than half an oscillation of the fastest phase, then refined by panel
-doubling until the result is stable to RATE_RTOL.
+evaluated with composite 16-node Gauss-Legendre panels (_gauss_legendre) sized
+so that no panel sees more than half an oscillation of the fastest phase, then
+refined by panel doubling (_refine) until the result is stable to RATE_RTOL.
+The same panel rule and refinement loop serve rate_from_spectrum and the toy
+spectrum in analysis.
 
 The wavenumber integral is truncated at q = QMAX/tau where the Gaussian factor
 is below e^-32 ~ 1.3e-14 of its peak, negligible against RATE_RTOL.
@@ -13,12 +15,14 @@ is below e^-32 ~ 1.3e-14 of its peak, negligible against RATE_RTOL.
 For traces on a uniform time grid the oscillatory factor is advanced with a
 complex rotation per step instead of fresh sin() calls; the phase is re-anchored
 at every block boundary, keeping the drift orders of magnitude below RATE_RTOL.
+This one recurrence (_scan_uniform) also serves the toy rate trace in analysis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import j0
@@ -110,13 +114,13 @@ def _n_panels(u_tilde: float, ell: float, t: float) -> int:
     return max(32, int(math.ceil(QMAX * rate / math.pi)))
 
 
-def _panel_nodes(n_panels: int):
-    edges = np.linspace(0.0, QMAX, n_panels + 1)
+def _gauss_legendre(edges: np.ndarray):
+    """Nodes and weights of the GL_NODES-point rule on each panel between consecutive edges."""
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    q = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
-    w = (half[:, None] * _WEIGHTS[None, :]).ravel()
-    return q, w
+    nodes = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
+    weights = (half[:, None] * _WEIGHTS[None, :]).ravel()
+    return nodes, weights
 
 
 def _envelope(model: ReducedModel, q):
@@ -134,8 +138,7 @@ class _NodeSet:
     """Cached quadrature nodes for repeated evaluations up to a fixed time."""
 
     coeff: np.ndarray  # weight * envelope, all >= 0
-    energy: np.ndarray  # E(q) in E0 units
-    n_panels: int
+    energy: np.ndarray  # phase frequency at each node: E(q) in E0 units, or omega
 
     def rate_at(self, s: float) -> float:
         return float(self.coeff @ np.sin(self.energy * s))
@@ -156,29 +159,35 @@ class _NodeSet:
 
 def _node_set(model: ReducedModel, t_red: float, refine: int = 0) -> _NodeSet:
     n_p = _n_panels(model.u_tilde, model.ell, t_red) << refine
-    q, w = _panel_nodes(n_p)
-    return _NodeSet(coeff=w * _envelope(model, q), energy=_energy_reduced(q, model.u_tilde), n_panels=n_p)
+    q, w = _gauss_legendre(np.linspace(0.0, QMAX, n_p + 1))
+    return _NodeSet(coeff=w * _envelope(model, q), energy=_energy_reduced(q, model.u_tilde))
 
 
-def _adaptive(model: ReducedModel, t_red: float, evaluate, what: str, kind: str) -> float:
-    """Panel-doubling refinement of evaluate(_NodeSet) to RATE_RTOL.
+def _refine(node_set, evaluate, kind: str, failure: str) -> float:
+    """Panel-doubling refinement of evaluate(node_set(refine)) to RATE_RTOL.
 
-    The tolerance floor is tied to the envelope bound: once the change is below
-    1e-12 of the envelope integral the value is cancellation-limited and
-    accepted as converged (relevant only where the integral itself vanishes).
+    The tolerance floor is tied to the envelope bound of the unrefined rule:
+    once the change is below 1e-12 of the envelope integral the value is
+    cancellation-limited and accepted as converged (relevant only where the
+    integral itself vanishes).
     """
-    nodes = _node_set(model, t_red)
+    nodes = node_set(0)
     floor = 1e-12 * nodes.envelope_bound(kind)
     prev = evaluate(nodes)
     achieved = math.inf
     for refine in range(1, MAX_REFINE + 1):
-        cur = evaluate(_node_set(model, t_red, refine))
-        scale = max(abs(cur), floor)
-        achieved = abs(cur - prev) / max(scale, 1e-300)
+        cur = evaluate(node_set(refine))
+        achieved = abs(cur - prev) / max(abs(cur), floor, 1e-300)
         if abs(cur - prev) <= max(RATE_RTOL * abs(cur), floor):
             return cur
         prev = cur
-    raise ConvergenceError(f"{what} quadrature did not converge at t={t_red} t0", achieved)
+    raise ConvergenceError(failure, achieved)
+
+
+def _adaptive(model: ReducedModel, t_red: float, evaluate, what: str, kind: str) -> float:
+    """_refine over the wavenumber node sets of the model at reduced time t_red."""
+    failure = f"{what} quadrature did not converge at t={t_red} t0"
+    return _refine(partial(_node_set, model, t_red), evaluate, kind, failure)
 
 
 # ---------------------------------------------------------------------------
@@ -232,33 +241,29 @@ class DecoherenceTrace:
     coherence: np.ndarray  # exp(-Gamma)
 
 
-def _scan_uniform(model: ReducedModel, s_grid: np.ndarray, kind: str, block: int = 256) -> np.ndarray:
-    """Evaluate the reduced integral on a uniform grid via rotation recurrence.
+def _scan_uniform(nodes_until, s_grid: np.ndarray, kind: str, block: int = 256) -> np.ndarray:
+    """Evaluate an integral on a uniform grid starting at 0 via rotation recurrence.
 
-    kind 'rate' accumulates Im z = sin(E s); kind 'gamma' accumulates
-    (1 - Re z)/E = (1 - cos(E s))/E.
+    Each block of grid points re-anchors the phase and takes its nodes from
+    nodes_until(last time of the block).  kind 'rate' accumulates
+    Im z = sin(E s); kind 'gamma' accumulates (1 - Re z)/E = (1 - cos(E s))/E.
     """
     npts = len(s_grid)
-    out = np.empty(npts)
-    ds = s_grid[1] - s_grid[0] if npts > 1 else 0.0
-    out[0] = 0.0 if s_grid[0] == 0.0 else math.nan
-    j = 0 if s_grid[0] != 0.0 else 1
-    while j < npts:
+    out = np.zeros(npts)
+    for j in range(1, npts, block):
         j1 = min(j + block, npts)
-        ns = _node_set(model, s_grid[j1 - 1])
+        ns = nodes_until(s_grid[j1 - 1])
         z = np.exp(1j * ns.energy * s_grid[j])
-        r = np.exp(1j * ns.energy * ds)
+        r = np.exp(1j * ns.energy * (s_grid[1] - s_grid[0]))
         if kind == "rate":
-            for jj in range(j, j1):
-                out[jj] = ns.coeff @ z.imag
-                z *= r
+            value = lambda phase: ns.coeff @ phase.imag
         else:
             ce = ns.coeff / ns.energy
             base = float(ce.sum())
-            for jj in range(j, j1):
-                out[jj] = base - ce @ z.real
-                z *= r
-        j = j1
+            value = lambda phase: base - ce @ phase.real
+        for jj in range(j, j1):
+            out[jj] = value(z)
+            z *= r
     return out
 
 
@@ -272,9 +277,11 @@ def build_rate_trace(model: ReducedModel, t_max: float, n_points: int = 2000) ->
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
+    if n_points < 2:
+        raise ValueError("n_points must be at least 2")
     times = np.linspace(0.0, t_max, n_points)
     s_grid = times / model.t0
-    values = _scan_uniform(model, s_grid, "rate")
+    values = _scan_uniform(partial(_node_set, model), s_grid, "rate")
     rel_tol = _spot_check(model, s_grid, values, "rate")
     gamma = model.A_tilde / model.t0 * values
     return RateTrace(times=times, gamma=gamma, rel_tol=rel_tol, model=model)
@@ -284,9 +291,11 @@ def build_decoherence_trace(model: ReducedModel, t_max: float, n_points: int = 2
     """Gamma(t) and coherence exp(-Gamma) on a uniform grid over [0, t_max]."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
+    if n_points < 2:
+        raise ValueError("n_points must be at least 2")
     times = np.linspace(0.0, t_max, n_points)
     s_grid = times / model.t0
-    values = _scan_uniform(model, s_grid, "gamma")
+    values = _scan_uniform(partial(_node_set, model), s_grid, "gamma")
     _spot_check(model, s_grid, values, "gamma")
     Gamma = model.A_tilde * values
     return DecoherenceTrace(times=times, Gamma=Gamma, coherence=np.exp(-Gamma))
@@ -407,24 +416,11 @@ def rate_from_spectrum(model: ReducedModel, t: float) -> float:
         return 0.0
     omega_max = _energy_reduced(QMAX, model.u_tilde) * model.E0 / HBAR
 
-    def evaluate(refine: int) -> tuple[float, float]:
+    def node_set(refine: int) -> _NodeSet:
         # panels sized against the oscillation of sin(omega t) in omega, with a
         # floor that resolves the kernel structure of J itself
         n_p = max(128, int(math.ceil(omega_max * t / math.pi)) + 128) << refine
-        edges = np.linspace(0.0, omega_max, n_p + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        w_nodes = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
-        w_weights = (half[:, None] * _WEIGHTS[None, :]).ravel()
-        coeff = w_weights * spectral_density_values(model, w_nodes)
-        return float(coeff @ np.sin(w_nodes * t)), float(coeff.sum())
+        w, weights = _gauss_legendre(np.linspace(0.0, omega_max, n_p + 1))
+        return _NodeSet(coeff=weights * spectral_density_values(model, w), energy=w)
 
-    prev, envelope = evaluate(0)
-    achieved = math.inf
-    for refine in range(1, MAX_REFINE + 1):
-        cur, _ = evaluate(refine)
-        achieved = abs(cur - prev) / max(abs(cur), 1e-12 * envelope, 1e-300)
-        if abs(cur - prev) <= max(RATE_RTOL * abs(cur), 1e-12 * envelope):
-            return cur
-        prev = cur
-    raise ConvergenceError("spectral reconstruction did not converge", achieved)
+    return _refine(node_set, lambda ns: ns.rate_at(t), "rate", "spectral reconstruction did not converge")

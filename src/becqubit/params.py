@@ -247,36 +247,47 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     Blank lines and '#' comments are ignored.  Unknown keys and repeated
     fields are errors.
     """
+    def entries():
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{source}:{lineno}: expected key=value, got {raw!r}")
+            key, _, value = line.partition("=")
+            yield f"{source}:{lineno}", key.strip(), value.strip()
+
+    return config_overrides(entries())
+
+
+def config_overrides(entries) -> dict:
+    """Convert (where, key, value text) entries into PhysicalConfig field overrides (SI).
+
+    The keys are those of _CONFIG_KEYS.  Unknown keys, unparsable values and
+    two keys setting the same field are errors reported at `where`.
+    """
     overrides: dict = {}
     seen_fields: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{source}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for where, key, value in entries:
         if key not in _CONFIG_KEYS:
-            raise ValueError(f"{source}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{where}: unknown key {key!r}")
         field, scale = _CONFIG_KEYS[key]
         if field in seen_fields:
             raise ValueError(
-                f"{source}:{lineno}: field {field!r} already set by key "
-                f"{seen_fields[field]!r}"
+                f"{where}: key {key!r} conflicts with key {seen_fields[field]!r}, "
+                f"which already set field {field!r}"
             )
         seen_fields[field] = key
         if field == "dimension":
             try:
                 overrides[field] = int(value)
             except ValueError as exc:
-                raise ValueError(f"{source}:{lineno}: bad integer {value!r}") from exc
+                raise ValueError(f"{where}: bad integer {value!r}") from exc
         else:
             try:
                 overrides[field] = float(value) * scale
             except ValueError as exc:
-                raise ValueError(f"{source}:{lineno}: bad number {value!r}") from exc
+                raise ValueError(f"{where}: bad number {value!r}") from exc
     return overrides
 
 

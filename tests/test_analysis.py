@@ -119,6 +119,11 @@ class TestToyModel:
     def test_rate_zero_at_zero(self):
         assert toy_rate(ToyModel(s=2.0, omega_c=1.0), 0.0) == 0.0
 
+    @pytest.mark.parametrize("n_points", [0, 1])
+    def test_trace_needs_two_points(self, n_points):
+        with pytest.raises(ValueError, match="at least 2"):
+            toy_rate_trace(ToyModel(s=2.0, omega_c=1.0), 10.0, n_points=n_points)
+
     def test_ohmic_never_negative(self):
         _, g = toy_rate_trace(ToyModel(s=1.0, omega_c=1.0), 40.0)
         assert g.min() >= -1e-12 * np.abs(g).max()

@@ -5,6 +5,7 @@ import pytest
 
 from becqubit import cli, default_config, measure, model_from_config
 from becqubit.constants import A_RB
+from becqubit.params import _CONFIG_KEYS
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +174,15 @@ class TestVerifyPairsCommand:
         value = dict(zip(header, rows[0]))
         assert float(value["max_ratio"]) <= 1.0 + 1e-9
 
+    def test_seed_is_read(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify-pairs", "--pairs", "120", "--t-max-t0", "300", "--seed", "5"
+        )
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert "# param.seed=5" in out
+        assert dict(zip(header, rows[0]))["seed"] == "5"
+
 
 class TestConfigHandling:
     def test_config_file_and_flag_precedence(self, capsys, tmp_path):
@@ -205,6 +215,67 @@ class TestConfigHandling:
     def test_missing_config_file_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "rate", "--config", "/nonexistent/x.cfg")
         assert code == 2
+
+
+# one value per config-file key, in that key's unit, each moving the default config
+PARITY_VALUES = {
+    "dimension": "2",
+    "m_B_u": "86.9",
+    "m_A_u": "22.0",
+    "a_B_nm": "4.0",
+    "a_B_a0": "80",
+    "a_B_over_aRb": "0.7",
+    "a_AB_nm": "2.5",
+    "a_AB_a0": "40",
+    "a_AB_over_aRb": "0.5",
+    "n0_per_m3": "2e20",
+    "tau_nm": "40",
+    "L_nm": "80",
+    "a_z_nm": "90",
+    "a_perp_nm": "95",
+    "lambda_lattice_nm": "532",
+}
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("key", list(_CONFIG_KEYS))
+    def test_flag_resolves_like_config_file_line(self, tmp_path, key):
+        value = PARITY_VALUES[key]
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        parser = cli.build_parser()
+        from_file = cli._resolve_config(parser.parse_args(["measure", "--config", str(cfg)]))
+        from_flag = cli._resolve_config(parser.parse_args(["measure", cli._flag(key), value]))
+        assert from_flag == from_file
+        assert from_file != default_config()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--seed", "5"],
+            ["toy", "--dimension", "2"],
+            ["toy", "--config", "/nonexistent.cfg"],
+        ],
+    )
+    def test_options_nothing_reads_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--points", "0", "--t-max-t0", "5"],
+            ["decoherence", "--points", "0", "--t-max-t0", "5"],
+            ["toy", "--points", "0"],
+            ["toy", "--points", "1"],
+        ],
+    )
+    def test_grid_below_two_points_exit_2(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "n_points must be at least 2" in err
 
 
 class TestConvergenceExit:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from becqubit import (
+    ConvergenceError,
+    ToyModel,
     angular_kernel,
     bogoliubov_energy,
     build_decoherence_trace,
@@ -21,9 +23,10 @@ from becqubit import (
     rate,
     rate_from_spectrum,
     reduce_model,
+    toy_rate,
 )
 from becqubit.constants import A_RB, HBAR
-from becqubit.engine import RATE_RTOL, _adaptive, _node_set
+from becqubit.engine import RATE_RTOL, _adaptive, _node_set, _NodeSet
 from conftest import random_config
 
 
@@ -243,6 +246,12 @@ class TestTraces:
                 decoherence(default_model, float(trace.times[idx])), rel=1e-8
             )
 
+    @pytest.mark.parametrize("build", [build_rate_trace, build_decoherence_trace])
+    @pytest.mark.parametrize("n_points", [0, 1])
+    def test_grid_needs_two_points(self, default_model, build, n_points):
+        with pytest.raises(ValueError, match="at least 2"):
+            build(default_model, 5.0 * default_model.t0, n_points=n_points)
+
     def test_times_strictly_increasing_validated(self, default_model):
         from becqubit import RateTrace
 
@@ -311,3 +320,21 @@ class TestSpectralDensity:
             effective_spectral_density(default_model, np.array([1e3, 1e2]))
         with pytest.raises(ValueError):
             effective_spectral_density(default_model, np.array([-1.0, 1e2]))
+
+
+class TestConvergenceFailure:
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda m: rate(m, 3.0 * m.t0),
+            lambda m: rate_from_spectrum(m, 3.0 * m.t0),
+            lambda m: toy_rate(ToyModel(s=1.5, omega_c=1.0), 3.0),
+        ],
+        ids=["rate", "rate_from_spectrum", "toy_rate"],
+    )
+    def test_raises_with_achieved_tolerance(self, default_model, monkeypatch, evaluate):
+        # a value that moves by a fixed fraction at every panel doubling never converges
+        monkeypatch.setattr(_NodeSet, "rate_at", lambda self, s: float(len(self.coeff)))
+        with pytest.raises(ConvergenceError, match="did not converge") as info:
+            evaluate(default_model)
+        assert RATE_RTOL < info.value.achieved < 1.0
