@@ -33,17 +33,33 @@ class BracketError(RuntimeError):
     """Classification does not change across the requested bracket."""
 
 
-def classify(model, t_max: float | None = None) -> Classification:
-    """NonMarkovian exactly when a guarded negative stretch of gamma exists."""
-    if t_max is None:
-        t_max, _ = dynamics.choose_horizon(model)
-    trace = engine.build_rate_trace(model, t_max, n_points=dynamics.DEFAULT_GRID)
-    cells, _ = dynamics._detect_negative_cells(trace.gamma, dynamics.NOISE_GUARD)
-    return "NonMarkovian" if cells else "Markovian"
+def classify(model) -> Classification:
+    """NonMarkovian exactly when the scan finds a guarded negative stretch of gamma."""
+    return "NonMarkovian" if dynamics.scan(model).cells else "Markovian"
 
 
-def classify_config(config: PhysicalConfig, t_max: float | None = None) -> Classification:
-    return classify(model_from_config(config), t_max)
+def classify_config(config: PhysicalConfig) -> Classification:
+    return classify(model_from_config(config))
+
+
+def _bisect_boundary(is_nm, lo: float, hi: float, tol: float, what: str):
+    """(lo, hi, classifications made) after bisecting the Markovian/non-Markovian
+    boundary to width tol; BracketError unless only hi is non-Markovian."""
+    nm_lo, nm_hi = is_nm(lo), is_nm(hi)
+    if nm_lo or not nm_hi:
+        raise BracketError(
+            f"no Markovian/non-Markovian sign change on {what} "
+            f"(ends classify {nm_lo}, {nm_hi})"
+        )
+    evaluations = 2
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        evaluations += 1
+        if is_nm(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, evaluations
 
 
 @dataclass(frozen=True)
@@ -90,21 +106,7 @@ def find_crossover(
             cfg = replace(base, a_B=a_B)
         return classify_config(cfg) == "NonMarkovian"
 
-    evaluations = 2
-    lo, hi = 0.0, a_B_max
-    nm_lo, nm_hi = is_nm(lo), is_nm(hi)
-    if nm_lo or not nm_hi:
-        raise BracketError(
-            f"no Markovian/non-Markovian sign change on [0, {a_B_max:.3e} m] "
-            f"(ends classify {nm_lo}, {nm_hi})"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        evaluations += 1
-        if is_nm(mid):
-            hi = mid
-        else:
-            lo = mid
+    lo, hi, evaluations = _bisect_boundary(is_nm, 0.0, a_B_max, tol, f"[0, {a_B_max:.3e} m]")
     a_crit = 0.5 * (lo + hi)
     return CrossoverResult(
         dimension=dimension,
@@ -191,10 +193,7 @@ def _toy_panels(toy: ToyModel, t: float, refine: int = 0) -> np.ndarray:
     """
     omega_max = TOY_OMEGA_MAX_FACTOR * toy.omega_c
     n_p = max(64, int(math.ceil(omega_max * abs(t) / math.pi))) << refine
-    edges = np.linspace(0.0, omega_max, n_p + 1)
-    first = edges[1]
-    graded = first * 0.5 ** np.arange(40, -1, -1.0)
-    return np.concatenate(([0.0], graded[:-1], edges[1:]))
+    return engine._graded_edges(omega_max, n_p)
 
 
 def _toy_nodes(toy: ToyModel, t: float, refine: int = 0) -> engine._NodeSet:
@@ -230,15 +229,16 @@ def toy_rate_trace(toy: ToyModel, t_max: float, n_points: int = TOY_GRID):
     out = engine._scan_uniform(lambda s_end: nodes, times, "rate")
     # verify against the adaptive pointwise value at the end of the window
     ref = toy_rate(toy, float(times[-1]))
-    if abs(out[-1] - ref) > 1e-6 * max(np.abs(out).max(), abs(ref)):
-        raise engine.ConvergenceError("toy trace disagrees with adaptive quadrature", math.inf)
+    gap, scale = abs(out[-1] - ref), max(np.abs(out).max(), abs(ref))
+    if gap > 1e-6 * scale:
+        raise engine.ConvergenceError("toy trace disagrees with adaptive quadrature", gap / scale)
     return times, out
 
 
 def toy_is_nonmarkovian(toy: ToyModel) -> bool:
     """Rate dips below the shared noise guard within the fixed scan window."""
     _, g = toy_rate_trace(toy, TOY_WINDOW / toy.omega_c)
-    return bool((g < -dynamics.NOISE_GUARD * np.abs(g).max()).any())
+    return bool(dynamics.negative_cells(g))
 
 
 def toy_critical_s(omega_c: float, tol: float = 1e-2) -> float:
@@ -247,15 +247,6 @@ def toy_critical_s(omega_c: float, tol: float = 1e-2) -> float:
         raise ValueError("tol below 1e-3 is not supported")
     if omega_c <= 0:
         raise ValueError("omega_c must be positive")
-    lo, hi = 1.0, 3.0
-    if toy_is_nonmarkovian(ToyModel(s=lo, omega_c=omega_c)) or not toy_is_nonmarkovian(
-        ToyModel(s=hi, omega_c=omega_c)
-    ):
-        raise BracketError("no boundary bracketed on s in [1, 3]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if toy_is_nonmarkovian(ToyModel(s=mid, omega_c=omega_c)):
-            hi = mid
-        else:
-            lo = mid
+    is_nm = lambda s: toy_is_nonmarkovian(ToyModel(s=s, omega_c=omega_c))
+    lo, hi, _ = _bisect_boundary(is_nm, 1.0, 3.0, tol, "s in [1, 3]")
     return 0.5 * (lo + hi)

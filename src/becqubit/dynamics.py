@@ -6,6 +6,11 @@ quantity reduces to closed forms in Gamma.  Negative stretches of the rate
 gamma(t) are exactly the windows where the trace distance between any pair
 with a transverse separation grows (information flows back).
 
+Classification and measurement share one scan: scan() fixes the window (the
+horizon policy below, or an explicit t_max), traces gamma on a uniform grid
+over it and keeps the negative cells deeper than the noise guard
+(negative_cells).  analysis.classify reads the cells; measure refines them.
+
 Horizon policy: the scan window starts at HORIZON_START*t0 and doubles until
 the rate has decayed (max |gamma| over the last quarter below DECAY_FRACTION
 of the global max) or the per-dimension cap is reached.  The caps are pinned
@@ -126,11 +131,10 @@ class NegativeInterval:
             raise ValueError(f"need 0 < a < b, got ({self.a}, {self.b})")
 
 
-def choose_horizon(model: ReducedModel, start: float | None = None) -> tuple[float, bool]:
+def choose_horizon(model: ReducedModel) -> tuple[float, bool]:
     """Scan window (seconds) per the doubling policy; bool = decay criterion met."""
     cap = HORIZON_CAPS[model.dimension] * model.t0
-    t_max = (start if start is not None else HORIZON_START * model.t0)
-    t_max = min(t_max, cap)
+    t_max = min(HORIZON_START * model.t0, cap)
     while True:
         trace = engine.build_rate_trace(model, t_max, n_points=513)
         mag = np.abs(trace.gamma)
@@ -142,20 +146,41 @@ def choose_horizon(model: ReducedModel, start: float | None = None) -> tuple[flo
         t_max = min(2.0 * t_max, cap)
 
 
-def _detect_negative_cells(values: np.ndarray, guard_fraction: float):
-    """Indices (k0, k1) of maximal grid runs with gamma < 0 passing the depth guard."""
+def negative_cells(values) -> list[tuple[int, int]]:
+    """Index ranges [k0, k1) of maximal grid runs with values < 0 deeper than
+    the noise guard, NOISE_GUARD of max|values|; shallower runs are noise."""
     g = np.asarray(values)
-    eps = guard_fraction * np.abs(g).max()
     neg = g < 0
-    if not neg.any():
-        return [], eps
+    eps = NOISE_GUARD * np.abs(g).max()
     flips = np.flatnonzero(np.diff(neg.astype(np.int8)))
     bounds = np.concatenate(([0], flips + 1, [len(g)]))
-    cells = []
-    for k0, k1 in zip(bounds[:-1], bounds[1:]):
-        if neg[k0] and g[k0:k1].min() < -eps:
-            cells.append((int(k0), int(k1)))
-    return cells, eps
+    return [
+        (int(k0), int(k1))
+        for k0, k1 in zip(bounds[:-1], bounds[1:])
+        if neg[k0] and g[k0:k1].min() < -eps
+    ]
+
+
+@dataclass(frozen=True)
+class Scan:
+    """gamma on a uniform grid over the scan window, with its guarded negative cells."""
+
+    trace: RateTrace
+    cells: tuple[tuple[int, int], ...]  # negative_cells(trace.gamma)
+    horizon: str  # "policy" (choose_horizon) or "explicit" (the caller's t_max)
+    horizon_converged: bool | None  # decay criterion met; None for an explicit window
+
+
+def scan(model: ReducedModel, t_max: float | None = None, grid_size: int = DEFAULT_GRID) -> Scan:
+    """The one classification scan: the window, its rate trace and negative cells."""
+    if t_max is None:
+        t_max, horizon_converged = choose_horizon(model)
+        horizon = "policy"
+    else:
+        horizon_converged = None
+        horizon = "explicit"
+    trace = engine.build_rate_trace(model, t_max, n_points=grid_size)
+    return Scan(trace, tuple(negative_cells(trace.gamma)), horizon, horizon_converged)
 
 
 def _bisect_root(fn, t_lo: float, t_hi: float, rel_tol: float) -> float:
@@ -173,8 +198,8 @@ def _bisect_root(fn, t_lo: float, t_hi: float, rel_tol: float) -> float:
     return 0.5 * (t_lo + t_hi)
 
 
-def _intervals_from_grid(times, values, guard_fraction, refine_root) -> list[NegativeInterval]:
-    cells, _ = _detect_negative_cells(values, guard_fraction)
+def _intervals_from_cells(times, cells, refine_root) -> list[NegativeInterval]:
+    """Refine the sign changes of each cell; one open at the end is clipped there."""
     intervals = []
     for k0, k1 in cells:
         # the rate vanishes at t=0, so a negative run never starts at the origin
@@ -187,48 +212,6 @@ def _intervals_from_grid(times, values, guard_fraction, refine_root) -> list[Neg
             clipped = True
         intervals.append(NegativeInterval(a=float(a), b=float(b), clipped=clipped))
     return intervals
-
-
-def intervals_of_rate_function(
-    fn,
-    t_max: float,
-    grid_size: int = DEFAULT_GRID,
-    guard_fraction: float = NOISE_GUARD,
-    rel_tol: float = 1e-10,
-) -> list[NegativeInterval]:
-    """Negative intervals of an arbitrary scalar rate function on [0, t_max]."""
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    times = np.linspace(0.0, t_max, grid_size)
-    values = np.array([fn(t) for t in times])
-    return _intervals_from_grid(
-        times, values, guard_fraction, lambda lo, hi: _bisect_root(fn, lo, hi, rel_tol)
-    )
-
-
-def find_negative_intervals(
-    model: ReducedModel,
-    t_max: float,
-    grid_size: int = DEFAULT_GRID,
-    guard_fraction: float = NOISE_GUARD,
-) -> list[NegativeInterval]:
-    """Scan gamma on a uniform grid, then refine each sign change by bisection.
-
-    Dips shallower than guard_fraction * max|gamma| are treated as noise.
-    A dip still open at t_max is reported clipped with b = t_max.  Endpoints
-    are refined to relative time tolerance 1e-10 on cached quadrature nodes.
-    """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    trace = engine.build_rate_trace(model, t_max, n_points=grid_size)
-
-    def refine(t_lo: float, t_hi: float) -> float:
-        nodes = engine._node_set(model, t_hi / model.t0)
-        return _bisect_root(
-            lambda t: nodes.rate_at(t / model.t0), t_lo, t_hi, rel_tol=1e-10
-        )
-
-    return _intervals_from_grid(trace.times, trace.gamma, guard_fraction, refine)
 
 
 @dataclass(frozen=True)
@@ -259,16 +242,18 @@ def measure(
     model: ReducedModel,
     t_max: float | None = None,
     grid_size: int = DEFAULT_GRID,
-    guard_fraction: float = NOISE_GUARD,
 ) -> NonMarkovianityResult:
-    """Detect negative intervals and evaluate the dephasing back-flow measures."""
-    if t_max is None:
-        t_max, horizon_converged = choose_horizon(model)
-        horizon = "policy"
-    else:
-        horizon_converged = None
-        horizon = "explicit"
-    intervals = find_negative_intervals(model, t_max, grid_size, guard_fraction)
+    """Refine the scan's cells into negative intervals (ends to relative time
+    tolerance 1e-10 on cached nodes) and evaluate the back-flow measures."""
+    sc = scan(model, t_max, grid_size)
+
+    def refine(t_lo: float, t_hi: float) -> float:
+        nodes = engine._node_set(model, t_hi / model.t0)
+        return _bisect_root(
+            lambda t: nodes.rate_at(t / model.t0), t_lo, t_hi, rel_tol=1e-10
+        )
+
+    intervals = _intervals_from_cells(sc.trace.times, sc.cells, refine)
     exponents = [
         (engine.decoherence(model, iv.a), engine.decoherence(model, iv.b)) for iv in intervals
     ]
@@ -281,9 +266,9 @@ def measure(
         N_blp = 0.0
     diagnostics = {
         "grid_size": grid_size,
-        "guard_fraction": guard_fraction,
-        "horizon": horizon,
-        "horizon_converged": horizon_converged,
+        "guard_fraction": NOISE_GUARD,
+        "horizon": sc.horizon,
+        "horizon_converged": sc.horizon_converged,
         "n_intervals": len(intervals),
         "multiple_intervals": len(intervals) > 1,
         "gamma_exponents": exponents,
@@ -292,7 +277,7 @@ def measure(
         N=N,
         N_blp=N_blp,
         intervals=tuple(intervals),
-        t_max_used=float(t_max),
+        t_max_used=float(sc.trace.times[-1]),
         diagnostics=diagnostics,
     )
 

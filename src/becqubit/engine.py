@@ -123,6 +123,14 @@ def _gauss_legendre(edges: np.ndarray):
     return nodes, weights
 
 
+def _graded_edges(upper: float, n_panels: int) -> np.ndarray:
+    """n_panels uniform panels on [0, upper], the first graded geometrically toward 0
+    (down to 2^-40 of its width) for integrands that are not smooth at 0."""
+    edges = np.linspace(0.0, upper, n_panels + 1)
+    graded = edges[1] * 0.5 ** np.arange(40, -1, -1.0)
+    return np.concatenate(([0.0], graded[:-1], edges[1:]))
+
+
 def _envelope(model: ReducedModel, q):
     """Positive radial envelope common to all three integrals."""
     return (
@@ -411,7 +419,10 @@ def rate_from_spectrum(model: ReducedModel, t: float) -> float:
 
     Independent route from rate(): same physics, different integration variable
     and nodes.  Used as a self-consistency check of the spectral extraction.
+    The first omega panel is graded: J_eff ~ omega^-1/2 at 0 in the 1D free gas.
     """
+    if t < 0:
+        raise ValueError("t must be >= 0")
     if t == 0.0:
         return 0.0
     omega_max = _energy_reduced(QMAX, model.u_tilde) * model.E0 / HBAR
@@ -420,7 +431,7 @@ def rate_from_spectrum(model: ReducedModel, t: float) -> float:
         # panels sized against the oscillation of sin(omega t) in omega, with a
         # floor that resolves the kernel structure of J itself
         n_p = max(128, int(math.ceil(omega_max * t / math.pi)) + 128) << refine
-        w, weights = _gauss_legendre(np.linspace(0.0, omega_max, n_p + 1))
+        w, weights = _gauss_legendre(_graded_edges(omega_max, n_p))
         return _NodeSet(coeff=weights * spectral_density_values(model, w), energy=w)
 
     return _refine(node_set, lambda ns: ns.rate_at(t), "rate", "spectral reconstruction did not converge")

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from becqubit import (
     BracketError,
+    ConvergenceError,
     ToyModel,
     classify_config,
     default_config,
@@ -17,6 +18,7 @@ from becqubit import (
     toy_rate,
     toy_rate_trace,
 )
+from becqubit import analysis
 from becqubit.analysis import toy_is_nonmarkovian
 from becqubit.constants import A_RB
 
@@ -123,6 +125,17 @@ class TestToyModel:
     def test_trace_needs_two_points(self, n_points):
         with pytest.raises(ValueError, match="at least 2"):
             toy_rate_trace(ToyModel(s=2.0, omega_c=1.0), 10.0, n_points=n_points)
+
+    def test_trace_end_check_reports_discrepancy(self, monkeypatch):
+        toy = ToyModel(s=2.5, omega_c=1.0)
+        _, g = toy_rate_trace(toy, 10.0)
+        ref = g[-1] + 1e-3 * np.abs(g).max()
+        monkeypatch.setattr(analysis, "toy_rate", lambda toy, t: ref)
+        with pytest.raises(ConvergenceError, match="disagrees") as info:
+            toy_rate_trace(toy, 10.0)
+        expected = abs(g[-1] - ref) / max(np.abs(g).max(), abs(ref))
+        assert info.value.achieved == pytest.approx(expected, rel=1e-12)
+        assert info.value.achieved == pytest.approx(1e-3, rel=1e-6)
 
     def test_ohmic_never_negative(self):
         _, g = toy_rate_trace(ToyModel(s=1.0, omega_c=1.0), 40.0)

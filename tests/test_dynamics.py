@@ -11,19 +11,22 @@ from becqubit import (
     build_decoherence_trace,
     build_rate_trace,
     choose_horizon,
+    classify,
     default_config,
     evolve,
-    find_negative_intervals,
     information_flux,
     measure,
     model_from_config,
+    scan,
     trace_distance,
     verify_optimal_pair,
 )
 from becqubit.constants import A_RB
 from becqubit.dynamics import (
     UndefinedFluxError,
-    intervals_of_rate_function,
+    _bisect_root,
+    _intervals_from_cells,
+    negative_cells,
     pair_distance,
     sample_bloch_pairs,
 )
@@ -158,7 +161,7 @@ class TestInformationFlux:
 class TestNegativeIntervals:
     def test_free_gas_has_none(self):
         m = model_from_config(default_config(a_B=0.0))
-        assert find_negative_intervals(m, 400 * m.t0) == []
+        assert scan(m, 400 * m.t0).cells == ()
 
     def test_default_has_exactly_one(self, default_model, default_measure):
         assert len(default_measure.intervals) == 1
@@ -182,7 +185,11 @@ class TestNegativeIntervals:
         assert rate(default_model, iv.b - delta) < 0 < rate(default_model, iv.b + delta)
 
     def test_synthetic_sine_interval(self):
-        ivs = intervals_of_rate_function(math.sin, 2.0 * math.pi, grid_size=2000)
+        times = np.linspace(0.0, 2.0 * math.pi, 2000)
+        cells = negative_cells(np.sin(times))
+        ivs = _intervals_from_cells(
+            times, cells, lambda lo, hi: _bisect_root(math.sin, lo, hi, rel_tol=1e-10)
+        )
         assert len(ivs) == 1
         assert ivs[0].a == pytest.approx(math.pi, abs=1e-8)
         assert ivs[0].b == pytest.approx(2.0 * math.pi, abs=1e-8)
@@ -192,13 +199,49 @@ class TestNegativeIntervals:
         def fn(t):
             return math.exp(-t) + 1e-9 * math.sin(10.0 * t) - 5e-10
 
-        assert intervals_of_rate_function(fn, 30.0, guard_fraction=1e-6) == []
+        values = np.array([fn(t) for t in np.linspace(0.0, 30.0, 2000)])
+        assert (values < 0).any()
+        assert negative_cells(values) == []
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             NegativeInterval(a=2.0, b=1.0)
         with pytest.raises(ValueError):
             NegativeInterval(a=0.0, b=1.0)
+
+
+class TestScan:
+    def test_default_policy_horizon(self, default_model):
+        sc = scan(default_model)
+        assert sc.horizon == "policy"
+        assert sc.horizon_converged is True
+        assert sc.trace.times[-1] / default_model.t0 == pytest.approx(400.0, rel=1e-12)
+        assert len(sc.trace.times) == 2000
+        assert sc.cells == tuple(negative_cells(sc.trace.gamma))
+
+    def test_explicit_window(self, default_model):
+        sc = scan(default_model, 120.0 * default_model.t0, grid_size=800)
+        assert sc.horizon == "explicit"
+        assert sc.horizon_converged is None
+        assert sc.trace.times[-1] == 120.0 * default_model.t0
+        assert len(sc.trace.times) == 800
+
+    @pytest.mark.parametrize(
+        "dimension, a_B_over_aRb, expected",
+        [
+            (3, 0.02, "Markovian"),
+            (3, 0.05, "NonMarkovian"),
+            (2, 0.11, "Markovian"),  # the 2D cap ends the scan before the decay test passes
+            (2, 0.15, "NonMarkovian"),
+        ],
+    )
+    def test_classify_agrees_with_measure(self, dimension, a_B_over_aRb, expected):
+        m = model_from_config(default_config(dimension=dimension, a_B=a_B_over_aRb * A_RB))
+        result = measure(m)
+        assert classify(m) == expected
+        assert bool(result.intervals) == (expected == "NonMarkovian")
+        if dimension == 2:
+            assert result.diagnostics["horizon_converged"] is False
 
 
 class TestHorizonPolicy:

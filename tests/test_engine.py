@@ -277,6 +277,19 @@ class TestSpectralDensity:
                 rate(default_model, t), rel=1e-6
             )
 
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_reconstruction_matches_rate_free_and_default(self, dimension):
+        # the graded first omega panel resolves J ~ omega^-1/2 of the 1D free gas
+        for cfg in (default_config(dimension=dimension, a_B=0.0), default_config(dimension=dimension)):
+            m = model_from_config(cfg)
+            for s in (0.5, 5.0, 14.0, 60.0):
+                t = s * m.t0
+                assert rate_from_spectrum(m, t) == pytest.approx(rate(m, t), rel=RATE_RTOL)
+
+    def test_reconstruction_rejects_negative_time(self, default_model):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            rate_from_spectrum(default_model, -default_model.t0)
+
     def test_fit_exact_power_laws(self):
         omegas = np.geomspace(1.0, 100.0, 60)
         from becqubit import SpectralProfile
