@@ -219,14 +219,13 @@ def toy_rate(toy: ToyModel, t: float) -> float:
 
 
 def toy_rate_trace(toy: ToyModel, t_max: float, n_points: int = TOY_GRID):
-    """Toy rate on a uniform grid via the rotation recurrence."""
+    """Toy rate on a uniform grid via the energy-variable transform of the engine."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     times = np.linspace(0.0, t_max, n_points)
-    nodes = _toy_nodes(toy, t_max)
-    out = engine._scan_uniform(lambda s_end: nodes, times, "rate")
+    out = engine._uniform_transform(_toy_nodes(toy, t_max), times, "rate")
     # verify against the adaptive pointwise value at the end of the window
     ref = toy_rate(toy, float(times[-1]))
     gap, scale = abs(out[-1] - ref), max(np.abs(out).max(), abs(ref))

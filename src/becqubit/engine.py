@@ -12,10 +12,16 @@ spectrum in analysis.
 The wavenumber integral is truncated at q = QMAX/tau where the Gaussian factor
 is below e^-32 ~ 1.3e-14 of its peak, negligible against RATE_RTOL.
 
-For traces on a uniform time grid the oscillatory factor is advanced with a
-complex rotation per step instead of fresh sin() calls; the phase is re-anchored
-at every block boundary, keeping the drift orders of magnitude below RATE_RTOL.
-This one recurrence (_scan_uniform) also serves the toy rate trace in analysis.
+Traces on a uniform time grid t_j = j dt integrate in the energy variable,
+gamma(t) = int J(omega) sin(omega t) domega, on the node set of
+rate_from_spectrum at the end of the window (_spectral_node_set).  Its panels
+are the graded head of _graded_edges, summed directly, and uniform panels of
+width h, on which node k of panel p sits at omega_k + p h: for each k the sum
+over p is a chirp-z transform in exp(i h dt), evaluated for all 16 node
+indices at once by one FFT convolution (_uniform_transform, Bluestein).  The
+same transform serves the toy rate trace in analysis.  Every trace is
+spot-checked against the adaptive wavenumber quadrature (_spot_check), an
+independent route, at its first step, its last point and its extremum.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ QMAX = 8.0
 RATE_RTOL = 1e-9
 GL_NODES = 16
 MAX_REFINE = 8
+GRADED_LEVELS = 40  # the first of _graded_edges' panels is split down to 2^-40 of its width
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GL_NODES)
 
@@ -125,9 +132,9 @@ def _gauss_legendre(edges: np.ndarray):
 
 def _graded_edges(upper: float, n_panels: int) -> np.ndarray:
     """n_panels uniform panels on [0, upper], the first graded geometrically toward 0
-    (down to 2^-40 of its width) for integrands that are not smooth at 0."""
+    (down to 2^-GRADED_LEVELS of its width) for integrands that are not smooth at 0."""
     edges = np.linspace(0.0, upper, n_panels + 1)
-    graded = edges[1] * 0.5 ** np.arange(40, -1, -1.0)
+    graded = edges[1] * 0.5 ** np.arange(GRADED_LEVELS, -1, -1.0)
     return np.concatenate(([0.0], graded[:-1], edges[1:]))
 
 
@@ -249,85 +256,96 @@ class DecoherenceTrace:
     coherence: np.ndarray  # exp(-Gamma)
 
 
-def _scan_uniform(nodes_until, s_grid: np.ndarray, kind: str, block: int = 256) -> np.ndarray:
-    """Evaluate an integral on a uniform grid starting at 0 via rotation recurrence.
+def _uniform_transform(nodes: _NodeSet, times: np.ndarray, kind: str) -> np.ndarray:
+    """The integral on the uniform grid times (times[0] = 0) over nodes laid out by
+    _graded_edges: kind 'rate' sums coeff sin(E t), kind 'gamma' coeff 2 sin^2(E t/2)/E.
 
-    Each block of grid points re-anchors the phase and takes its nodes from
-    nodes_until(last time of the block).  kind 'rate' accumulates
-    Im z = sin(E s); kind 'gamma' accumulates (1 - Re z)/E = (1 - cos(E s))/E.
+    The graded head is summed directly.  On the uniform panels node k of panel p
+    is at E_k + p h, so sum_p c_pk exp(i p h t_j) is a chirp-z transform in
+    w = exp(i h dt); Bluestein's p j = (p^2 + j^2 - (j - p)^2)/2 makes it one
+    FFT convolution for all k.  'gamma' takes the form (c/E)(1 - cos E t) only
+    there: on the head c/E is unbounded and the two terms would cancel.
     """
-    npts = len(s_grid)
-    out = np.zeros(npts)
-    for j in range(1, npts, block):
-        j1 = min(j + block, npts)
-        ns = nodes_until(s_grid[j1 - 1])
-        z = np.exp(1j * ns.energy * s_grid[j])
-        r = np.exp(1j * ns.energy * (s_grid[1] - s_grid[0]))
-        if kind == "rate":
-            value = lambda phase: ns.coeff @ phase.imag
-        else:
-            ce = ns.coeff / ns.energy
-            base = float(ce.sum())
-            value = lambda phase: base - ce @ phase.real
-        for jj in range(j, j1):
-            out[jj] = value(z)
-            z *= r
+    head = (GRADED_LEVELS + 1) * GL_NODES
+    E, c = nodes.energy[:head], nodes.coeff[:head]
+    phase = np.outer(times, E)
+    if kind == "rate":
+        out = np.sin(phase) @ c
+    else:
+        out = (2.0 * np.sin(0.5 * phase) ** 2) @ (c / E)
+    E = nodes.energy[head:].reshape(-1, GL_NODES).T  # (node index k, panel p)
+    c = nodes.coeff[head:].reshape(-1, GL_NODES).T
+    if kind == "gamma":
+        c = c / E
+    n_panels, n_points = E.shape[1], len(times)
+    n2 = np.arange(max(n_panels, n_points)) ** 2
+    # the chirp phase alpha n^2 reaches ~1e5 rad; a 20-bit head of alpha times
+    # n^2 is exact, so rounding touches only the small remainder
+    alpha = 0.5 * (E[0, -1] - E[0, 0]) / (n_panels - 1) * times[1]
+    mantissa, exponent = math.frexp(alpha)
+    alpha_head = math.ldexp(round(mantissa * 2**20), exponent - 20)
+    chirp = np.exp(1j * (alpha_head * n2)) * np.exp(1j * ((alpha - alpha_head) * n2))
+    size = 1 << (n_panels + n_points - 2).bit_length()
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:n_points] = chirp[:n_points].conj()
+    kernel[size - n_panels + 1 :] = chirp[n_panels - 1 : 0 : -1].conj()
+    conv = np.fft.ifft(np.fft.fft(c * chirp[:n_panels], size) * np.fft.fft(kernel))[:, :n_points]
+    z = (np.exp(1j * np.outer(E[:, 0], times)) * conv).sum(axis=0) * chirp[:n_points]
+    out += z.imag if kind == "rate" else c.sum() - z.real
+    out[0] = 0.0  # exact at t = 0, where the transform leaves rounding
     return out
+
+
+def _uniform_trace(model: ReducedModel, t_max: float, n_points: int, kind: str):
+    """(times, values, spot-check tolerance) of kind 'rate' (s^-1) or 'gamma' on
+    a uniform grid over [0, t_max] seconds.  omega t is the reduced phase E s
+    (hbar/(E0 t0) = 1), so the spectral nodes give SI values directly."""
+    if t_max <= 0:
+        raise ValueError("t_max must be positive")
+    if n_points < 2:
+        raise ValueError("n_points must be at least 2")
+    times = np.linspace(0.0, t_max, n_points)
+    values = _uniform_transform(_spectral_node_set(model, t_max), times, kind)
+    return times, values, _spot_check(model, times, values, kind)
 
 
 def build_rate_trace(model: ReducedModel, t_max: float, n_points: int = 2000) -> RateTrace:
     """gamma(t) on a uniform grid over [0, t_max] seconds, including t = 0.
 
-    The shared-node scan is verified against the pointwise adaptive quadrature
-    at the largest time and at the extremal-rate point; the worst relative
-    discrepancy is recorded as rel_tol and gated at 100 * RATE_RTOL (the spot
-    values themselves are converged to RATE_RTOL).
+    The energy-variable transform is verified against the pointwise adaptive
+    quadrature in the wavenumber variable at the first step, the largest time
+    and the extremal-rate point; the worst relative discrepancy is recorded as
+    rel_tol and gated at 100 * RATE_RTOL (the spot values themselves are
+    converged to RATE_RTOL).
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
-    times = np.linspace(0.0, t_max, n_points)
-    s_grid = times / model.t0
-    values = _scan_uniform(partial(_node_set, model), s_grid, "rate")
-    rel_tol = _spot_check(model, s_grid, values, "rate")
-    gamma = model.A_tilde / model.t0 * values
+    times, gamma, rel_tol = _uniform_trace(model, t_max, n_points, "rate")
     return RateTrace(times=times, gamma=gamma, rel_tol=rel_tol, model=model)
 
 
 def build_decoherence_trace(model: ReducedModel, t_max: float, n_points: int = 2000) -> DecoherenceTrace:
     """Gamma(t) and coherence exp(-Gamma) on a uniform grid over [0, t_max]."""
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
-    times = np.linspace(0.0, t_max, n_points)
-    s_grid = times / model.t0
-    values = _scan_uniform(partial(_node_set, model), s_grid, "gamma")
-    _spot_check(model, s_grid, values, "gamma")
-    Gamma = model.A_tilde * values
+    times, Gamma, _ = _uniform_trace(model, t_max, n_points, "gamma")
     return DecoherenceTrace(times=times, Gamma=Gamma, coherence=np.exp(-Gamma))
 
 
-def _spot_check(model: ReducedModel, s_grid, values, kind: str) -> float:
-    """Compare scan values against adaptive pointwise results at key points.
+def _spot_check(model: ReducedModel, times, values, kind: str) -> float:
+    """Compare trace values against adaptive pointwise results at key points:
+    the first step (where Gamma is smallest), the end and the extremum.
 
     Discrepancies are measured against the larger of the local value and a
     small fraction of the trace scale, so a spot landing near a zero crossing
     of the rate cannot trip the check on pure cancellation noise.
     """
-    if len(s_grid) < 2:
-        return 0.0
-    picks = {len(s_grid) - 1, int(np.argmax(np.abs(values)))}
+    picks = {1, len(times) - 1, int(np.argmax(np.abs(values)))}
     picks.discard(0)
     trace_scale = float(np.abs(values).max())
     worst = 0.0
     for idx in picks:
-        s = float(s_grid[idx])
+        s = float(times[idx]) / model.t0
         if kind == "rate":
-            ref = _adaptive(model, s, lambda ns: ns.rate_at(s), "rate", "rate")
+            ref = model.A_tilde / model.t0 * _adaptive(model, s, lambda ns: ns.rate_at(s), "rate", "rate")
         else:
-            ref = _adaptive(model, s, lambda ns: ns.gamma_at(s), "decoherence", "gamma")
+            ref = model.A_tilde * _adaptive(model, s, lambda ns: ns.gamma_at(s), "decoherence", "gamma")
         err = abs(values[idx] - ref) / max(abs(ref), 1e-6 * trace_scale, 1e-300)
         worst = max(worst, err)
     if worst > 100 * RATE_RTOL:
@@ -414,6 +432,17 @@ def fit_exponent(profile: SpectralProfile, window: tuple[float, float]) -> float
     return fit_exponent_values(profile.omegas, profile.J, window)
 
 
+def _spectral_node_set(model: ReducedModel, t: float, refine: int = 0) -> _NodeSet:
+    """Nodes of int J_eff(omega) sin(omega t') domega in SI, resolved for t' <= t
+    seconds: the coefficients are J_eff times the weights, the energies omega."""
+    omega_max = _energy_reduced(QMAX, model.u_tilde) * model.E0 / HBAR
+    # panels sized against the oscillation of sin(omega t) in omega, with a
+    # floor that resolves the kernel structure of J itself
+    n_p = max(128, int(math.ceil(omega_max * t / math.pi)) + 128) << refine
+    w, weights = _gauss_legendre(_graded_edges(omega_max, n_p))
+    return _NodeSet(coeff=weights * spectral_density_values(model, w), energy=w)
+
+
 def rate_from_spectrum(model: ReducedModel, t: float) -> float:
     """Reconstruct gamma(t) by integrating J_eff(omega) sin(omega t) over omega.
 
@@ -425,13 +454,5 @@ def rate_from_spectrum(model: ReducedModel, t: float) -> float:
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return 0.0
-    omega_max = _energy_reduced(QMAX, model.u_tilde) * model.E0 / HBAR
-
-    def node_set(refine: int) -> _NodeSet:
-        # panels sized against the oscillation of sin(omega t) in omega, with a
-        # floor that resolves the kernel structure of J itself
-        n_p = max(128, int(math.ceil(omega_max * t / math.pi)) + 128) << refine
-        w, weights = _gauss_legendre(_graded_edges(omega_max, n_p))
-        return _NodeSet(coeff=weights * spectral_density_values(model, w), energy=w)
-
-    return _refine(node_set, lambda ns: ns.rate_at(t), "rate", "spectral reconstruction did not converge")
+    failure = "spectral reconstruction did not converge"
+    return _refine(partial(_spectral_node_set, model, t), lambda ns: ns.rate_at(t), "rate", failure)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,9 @@ from becqubit import (
     reduce_model,
     toy_rate,
 )
+import becqubit
 from becqubit.constants import A_RB, HBAR
+from becqubit.dynamics import HORIZON_CAPS
 from becqubit.engine import RATE_RTOL, _adaptive, _node_set, _NodeSet
 from conftest import random_config
 
@@ -246,6 +252,25 @@ class TestTraces:
                 decoherence(default_model, float(trace.times[idx])), rel=1e-8
             )
 
+    @pytest.mark.parametrize("kind", ["rate", "gamma"])
+    @pytest.mark.parametrize("free", [True, False], ids=["free", "default"])
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_trace_matches_pointwise_at_horizon_cap(self, dimension, free, kind):
+        # the first step is where Gamma is smallest against its trace scale
+        cfg = default_config(dimension=dimension, a_B=0.0) if free else default_config(dimension=dimension)
+        m = model_from_config(cfg)
+        t_max = HORIZON_CAPS[dimension] * m.t0
+        if kind == "rate":
+            trace = build_rate_trace(m, t_max, n_points=2000)
+            times, values, pointwise = trace.times, trace.gamma, rate
+        else:
+            trace = build_decoherence_trace(m, t_max, n_points=2000)
+            times, values, pointwise = trace.times, trace.Gamma, decoherence
+        floor = 1e-6 * np.abs(values).max()
+        for idx in (1, 1000, 1999):
+            ref = pointwise(m, float(times[idx]))
+            assert abs(values[idx] - ref) / max(abs(ref), floor) <= 100 * RATE_RTOL
+
     @pytest.mark.parametrize("build", [build_rate_trace, build_decoherence_trace])
     @pytest.mark.parametrize("n_points", [0, 1])
     def test_grid_needs_two_points(self, default_model, build, n_points):
@@ -351,3 +376,13 @@ class TestConvergenceFailure:
         with pytest.raises(ConvergenceError, match="did not converge") as info:
             evaluate(default_model)
         assert RATE_RTOL < info.value.achieved < 1.0
+
+
+class TestImportCost:
+    def test_package_import_leaves_scipy_signal_unloaded(self):
+        # scipy.signal costs about a second and 50 MB at import
+        src = str(Path(becqubit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, becqubit; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
