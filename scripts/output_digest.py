@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""One sha256 per group of library outputs, for bit-for-bit comparisons.
+
+Run it on two checkouts and diff the output: equal lines mean the group's
+numbers are identical to the last bit.
+
+  PYTHONPATH=src python3 scripts/output_digest.py
+
+Groups:
+  crossover  find_crossover in 1D/2D/3D: a_crit, bracket, evaluations
+  measure    measure and scan on the 30 draws of tests/conftest.py::random_config
+             (seed 20120731): N, N_blp, intervals, diagnostics, trace gamma
+             bytes, rel_tol, cells, horizon
+  traces     rate and Gamma traces (2000 points) at the horizon cap of each
+             dimension, free gas and default coupling
+  toy        toy_critical_s at omega_c 1 and 10
+
+A point that raises contributes its exception type and message instead; each
+line ends with how many did.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from becqubit import (
+    build_decoherence_trace,
+    build_rate_trace,
+    default_config,
+    find_crossover,
+    measure,
+    model_from_config,
+    scan,
+    toy_critical_s,
+)
+from becqubit.dynamics import HORIZON_CAPS
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from conftest import random_config  # noqa: E402
+
+N_DRAWS = 30
+SEED = 20120731  # the seed of the tests' rng fixture
+
+
+class Digest:
+    def __init__(self):
+        self._h = hashlib.sha256()
+        self.points = 0
+        self.raised = 0
+
+    def add(self, value):
+        data = value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode()
+        self._h.update(data + b"\0")
+
+    def run(self, fn, *args):
+        """Digest fn(self, *args), or the exception it raises."""
+        self.points += 1
+        try:
+            fn(self, *args)
+        except Exception as exc:
+            self.raised += 1
+            self.add(f"{type(exc).__name__}: {exc}")
+
+    def hexdigest(self) -> str:
+        return self._h.hexdigest()
+
+
+def crossover(d: Digest, dimension: int):
+    r = find_crossover(dimension)
+    d.add((r.dimension, r.a_crit, r.bracket, r.evaluations))
+
+
+def measure_and_scan(d: Digest, config):
+    model = model_from_config(config)
+    r = measure(model)
+    d.add((r.N, r.N_blp, r.intervals, r.t_max_used, sorted(r.diagnostics.items())))
+    sc = scan(model)
+    d.add(sc.trace.gamma)
+    d.add((sc.trace.rel_tol, sc.cells, sc.horizon, sc.horizon_converged))
+
+
+def traces(d: Digest, model):
+    t_max = HORIZON_CAPS[model.dimension] * model.t0
+    rate = build_rate_trace(model, t_max)
+    d.add(rate.gamma)
+    d.add(rate.rel_tol)
+    d.add(build_decoherence_trace(model, t_max).Gamma)
+
+
+def toy(d: Digest, omega_c: float):
+    d.add(toy_critical_s(omega_c))
+
+
+def main() -> int:
+    groups = {}
+
+    d = groups["crossover"] = Digest()
+    for dimension in (1, 2, 3):
+        d.run(crossover, dimension)
+
+    d = groups["measure"] = Digest()
+    rng = np.random.default_rng(SEED)
+    for _ in range(N_DRAWS):
+        d.run(measure_and_scan, random_config(rng))
+
+    d = groups["traces"] = Digest()
+    for dimension in (1, 2, 3):
+        for config in (default_config(dimension=dimension, a_B=0.0), default_config(dimension=dimension)):
+            d.run(traces, model_from_config(config))
+
+    d = groups["toy"] = Digest()
+    for omega_c in (1.0, 10.0):
+        d.run(toy, omega_c)
+
+    for name, digest in groups.items():
+        print(f"{name:<10} {digest.hexdigest()}  ({digest.raised} of {digest.points} points raised)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -139,12 +139,19 @@ _SWEEP_FIELD = {"a_B": "a_B", "L": "L", "dimension": "dimension"}
 
 
 def sweep(axis: str, values, config: PhysicalConfig) -> SweepTable:
-    """measure() at every point of the axis grid, continuing past failures."""
+    """measure() at every point of the axis grid, continuing past failures.
+
+    The grid is checked before any point is measured: it must be non-empty and
+    strictly increasing."""
     if axis not in _SWEEP_FIELD:
         raise ValueError(f"axis must be one of {sorted(_SWEEP_FIELD)}, got {axis!r}")
     values = [int(v) if axis == "dimension" else float(v) for v in values]
+    if not values:
+        raise ValueError("sweep grid is empty")
     if len(set(values)) != len(values):
         raise ValueError("sweep grid contains duplicate values")
+    if not all(b > a for a, b in zip(values[:-1], values[1:])):
+        raise ValueError("axis values must be strictly increasing")
     N_col: list[float] = []
     diag_col: list[dict] = []
     for v in values:

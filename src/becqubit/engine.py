@@ -21,14 +21,15 @@ over p is a chirp-z transform in exp(i h dt), evaluated for all 16 node
 indices at once by one FFT convolution (_uniform_transform, Bluestein).  The
 same transform serves the toy rate trace in analysis.  Every trace is
 spot-checked against the adaptive wavenumber quadrature (_spot_check), an
-independent route, at its first step, its last point and its extremum.
+independent route, at its first step, its last point and its extremum; each
+distinct (model, time, kind) reference is computed once (_spot_reference).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import j0
@@ -87,13 +88,13 @@ def angular_kernel(dimension: int, x):
             out[small] = y2 / 8.0 - y2 * y2 / 128.0 + y2 * y2 * y2 / 4608.0
     elif dimension == 3:
         y = 2.0 * x
-        out = np.empty_like(y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = 0.5 * (1.0 - np.sin(y) / y)
         small = y < 1e-2
-        ys = y[small]
-        y2 = ys * ys
-        out[small] = y2 / 12.0 - y2 * y2 / 240.0 + y2 * y2 * y2 / 10080.0
-        yb = y[~small]
-        out[~small] = 0.5 * (1.0 - np.sin(yb) / yb)
+        if small.any():
+            ys = y[small]
+            y2 = ys * ys
+            out[small] = y2 / 12.0 - y2 * y2 / 240.0 + y2 * y2 * y2 / 10080.0
     else:
         raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
     return float(out[0]) if scalar else out
@@ -205,6 +206,13 @@ def _adaptive(model: ReducedModel, t_red: float, evaluate, what: str, kind: str)
     return _refine(partial(_node_set, model, t_red), evaluate, kind, failure)
 
 
+def _pointwise(model: ReducedModel, s: float, kind: str) -> float:
+    """Adaptive value at reduced time s > 0: gamma in s^-1 (kind 'rate') or Gamma ('gamma')."""
+    if kind == "rate":
+        return model.A_tilde / model.t0 * _adaptive(model, s, lambda ns: ns.rate_at(s), "rate", "rate")
+    return model.A_tilde * _adaptive(model, s, lambda ns: ns.gamma_at(s), "decoherence", "gamma")
+
+
 # ---------------------------------------------------------------------------
 # public pointwise operations (SI in, SI out)
 # ---------------------------------------------------------------------------
@@ -216,9 +224,7 @@ def rate(model: ReducedModel, t: float) -> float:
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return 0.0
-    s = t / model.t0
-    value = _adaptive(model, s, lambda ns: ns.rate_at(s), "rate", "rate")
-    return model.A_tilde / model.t0 * value
+    return _pointwise(model, t / model.t0, "rate")
 
 
 def decoherence(model: ReducedModel, t: float) -> float:
@@ -227,9 +233,7 @@ def decoherence(model: ReducedModel, t: float) -> float:
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return 0.0
-    s = t / model.t0
-    value = _adaptive(model, s, lambda ns: ns.gamma_at(s), "decoherence", "gamma")
-    return model.A_tilde * value
+    return _pointwise(model, t / model.t0, "gamma")
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +332,14 @@ def build_decoherence_trace(model: ReducedModel, t_max: float, n_points: int = 2
     return DecoherenceTrace(times=times, Gamma=Gamma, coherence=np.exp(-Gamma))
 
 
+# The spot-check references, memoized: the horizon probes and the scan of one
+# classification end at the same time, and successive probe windows share grid
+# times.  The key is exact (a frozen model, the float s) and only floats are
+# held; a ConvergenceError is not cached, so it is raised again on the next
+# call.  rate() and decoherence() call _pointwise directly, uncached.
+_spot_reference = lru_cache(maxsize=32)(_pointwise)
+
+
 def _spot_check(model: ReducedModel, times, values, kind: str) -> float:
     """Compare trace values against adaptive pointwise results at key points:
     the first step (where Gamma is smallest), the end and the extremum.
@@ -341,11 +353,7 @@ def _spot_check(model: ReducedModel, times, values, kind: str) -> float:
     trace_scale = float(np.abs(values).max())
     worst = 0.0
     for idx in picks:
-        s = float(times[idx]) / model.t0
-        if kind == "rate":
-            ref = model.A_tilde / model.t0 * _adaptive(model, s, lambda ns: ns.rate_at(s), "rate", "rate")
-        else:
-            ref = model.A_tilde * _adaptive(model, s, lambda ns: ns.gamma_at(s), "decoherence", "gamma")
+        ref = _spot_reference(model, float(times[idx]) / model.t0, kind)
         err = abs(values[idx] - ref) / max(abs(ref), 1e-6 * trace_scale, 1e-300)
         worst = max(worst, err)
     if worst > 100 * RATE_RTOL:

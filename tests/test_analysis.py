@@ -90,6 +90,18 @@ class TestSweep:
         with pytest.raises(ValueError, match="axis"):
             sweep("tau", [1e-9], default_config())
 
+    def test_unsorted_grid_rejected_before_measuring(self, monkeypatch):
+        calls = []
+        real = analysis.dynamics.measure
+        monkeypatch.setattr(analysis.dynamics, "measure", lambda *a, **k: calls.append(a) or real(*a, **k))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sweep("a_B", [0.05 * A_RB, 0.02 * A_RB], default_config())
+        assert calls == []
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            sweep("a_B", [], default_config())
+
     def test_errors_recorded_not_raised(self):
         # a negative scattering length fails config validation for that row only
         table = sweep("a_B", [-1e-9, 0.0], default_config())

@@ -130,6 +130,11 @@ class TestSweepCommand:
         assert code == 2
         assert "duplicate" in err
 
+    def test_empty_grid_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--axis", "a_B", "--grid", ",")
+        assert code == 2
+        assert "empty" in err and out == ""
+
     def test_row_failure_sets_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--axis", "L", "--grid=-50,75")
         assert code == 3

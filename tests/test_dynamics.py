@@ -21,6 +21,7 @@ from becqubit import (
     trace_distance,
     verify_optimal_pair,
 )
+from becqubit import engine
 from becqubit.constants import A_RB
 from becqubit.dynamics import (
     UndefinedFluxError,
@@ -218,6 +219,28 @@ class TestScan:
         assert sc.trace.times[-1] / default_model.t0 == pytest.approx(400.0, rel=1e-12)
         assert len(sc.trace.times) == 2000
         assert sc.cells == tuple(negative_cells(sc.trace.gamma))
+
+    def test_each_spot_reference_computed_once(self, default_model, monkeypatch):
+        # the last horizon probe and the scan end at the same time
+        engine._spot_reference.cache_clear()
+        calls = []
+        real = engine._adaptive
+
+        def counted(model, t_red, evaluate, what, kind):
+            calls.append((t_red, what))
+            return real(model, t_red, evaluate, what, kind)
+
+        monkeypatch.setattr(engine, "_adaptive", counted)
+        scan(default_model)
+        assert calls and len(set(calls)) == len(calls)
+
+    def test_warm_references_give_the_same_scan(self, default_model):
+        engine._spot_reference.cache_clear()
+        cold = scan(default_model)
+        warm = scan(default_model)
+        assert warm.trace.gamma.tobytes() == cold.trace.gamma.tobytes()
+        assert warm.trace.rel_tol == cold.trace.rel_tol
+        assert warm.cells == cold.cells
 
     def test_explicit_window(self, default_model):
         sc = scan(default_model, 120.0 * default_model.t0, grid_size=800)

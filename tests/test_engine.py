@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,23 @@ class TestAngularKernel:
         below, above = angular_kernel(dim, 0.00499), angular_kernel(dim, 0.00501)
         assert above > below > 0
         assert (above - below) / above < 1e-2
+
+    @pytest.mark.parametrize("x", [0.0, 0.004999, 0.005, 0.00501, 0.3, 7.0, 800.0])
+    def test_3d_matches_branchwise_reference_exactly(self, x):
+        y = 2.0 * x
+        if y < 1e-2:
+            y2 = y * y
+            expected = y2 / 12.0 - y2 * y2 / 240.0 + y2 * y2 * y2 / 10080.0
+        else:
+            expected = 0.5 * (1.0 - np.sin(y) / y)
+        assert angular_kernel(3, x) == expected
+        assert angular_kernel(3, np.array([x]))[0] == expected
+
+    def test_3d_silent_at_origin(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert angular_kernel(3, 0.0) == 0.0
+            assert angular_kernel(3, np.array([0.0, 0.3]))[0] == 0.0
 
     @given(x=st.floats(min_value=0.0, max_value=100.0), dim=st.sampled_from([1, 2, 3]))
     @settings(max_examples=100, deadline=None)
