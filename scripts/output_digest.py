@@ -14,6 +14,9 @@ Groups:
   traces     rate and Gamma traces (2000 points) at the horizon cap of each
              dimension, free gas and default coupling
   toy        toy_critical_s at omega_c 1 and 10
+  spectral   toy_rate_trace at the CLI defaults and at s 1, 2.5 and 3; toy_rate
+             at a few times; rate_from_spectrum in 1D/2D/3D, free gas and
+             default coupling, at 0.5, 5 and 60 t0
 
 A point that raises contributes its exception type and message instead; each
 line ends with how many did.
@@ -26,14 +29,18 @@ from pathlib import Path
 import numpy as np
 
 from becqubit import (
+    ToyModel,
     build_decoherence_trace,
     build_rate_trace,
     default_config,
     find_crossover,
     measure,
     model_from_config,
+    rate_from_spectrum,
     scan,
     toy_critical_s,
+    toy_rate,
+    toy_rate_trace,
 )
 from becqubit.dynamics import HORIZON_CAPS
 
@@ -93,6 +100,20 @@ def toy(d: Digest, omega_c: float):
     d.add(toy_critical_s(omega_c))
 
 
+def toy_trace(d: Digest, s: float):
+    times, gamma = toy_rate_trace(ToyModel(s=s, omega_c=1.0), 64.0, 501)  # the CLI defaults
+    d.add(times)
+    d.add(gamma)
+
+
+def toy_point(d: Digest, s: float, t: float):
+    d.add(toy_rate(ToyModel(s=s, omega_c=1.0), t))
+
+
+def spectral_point(d: Digest, model, t_t0: float):
+    d.add(rate_from_spectrum(model, t_t0 * model.t0))
+
+
 def main() -> int:
     groups = {}
 
@@ -113,6 +134,17 @@ def main() -> int:
     d = groups["toy"] = Digest()
     for omega_c in (1.0, 10.0):
         d.run(toy, omega_c)
+
+    d = groups["spectral"] = Digest()
+    for s in (2.0, 1.0, 2.5, 3.0):
+        d.run(toy_trace, s)
+    for s in (1.0, 2.5, 3.0):
+        for t in (0.5, 2.0, 9.0, 40.0):
+            d.run(toy_point, s, t)
+    for dimension in (1, 2, 3):
+        for config in (default_config(dimension=dimension, a_B=0.0), default_config(dimension=dimension)):
+            for t_t0 in (0.5, 5.0, 60.0):
+                d.run(spectral_point, model_from_config(config), t_t0)
 
     for name, digest in groups.items():
         print(f"{name:<10} {digest.hexdigest()}  ({digest.raised} of {digest.points} points raised)")

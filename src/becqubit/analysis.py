@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Literal
 
 import numpy as np
@@ -129,10 +130,6 @@ class SweepTable:
     def __post_init__(self):
         if not (len(self.values) == len(self.N) == len(self.diagnostics)):
             raise ValueError("column lengths differ")
-        if len(self.values) > 1 and not all(
-            b > a for a, b in zip(self.values[:-1], self.values[1:])
-        ):
-            raise ValueError("axis values must be strictly increasing")
 
 
 _SWEEP_FIELD = {"a_B": "a_B", "L": "L", "dimension": "dimension"}
@@ -217,28 +214,15 @@ def toy_rate(toy: ToyModel, t: float) -> float:
     integral Gamma(t) = int J(omega) (1 - cos omega t)/omega^2 domega; it puts
     the Markovian boundary of the Gaussian-cutoff family at s = 2.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return 0.0
-    failure = "toy rate quadrature did not converge"
-    return engine._refine(lambda refine: _toy_nodes(toy, t, refine), lambda ns: ns.rate_at(t), "rate", failure)
+    return engine._spectral_rate(partial(_toy_nodes, toy), t, "toy rate quadrature did not converge")
 
 
 def toy_rate_trace(toy: ToyModel, t_max: float, n_points: int = TOY_GRID):
-    """Toy rate on a uniform grid via the energy-variable transform of the engine."""
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
-    times = np.linspace(0.0, t_max, n_points)
-    out = engine._uniform_transform(_toy_nodes(toy, t_max), times, "rate")
-    # verify against the adaptive pointwise value at the end of the window
-    ref = toy_rate(toy, float(times[-1]))
-    gap, scale = abs(out[-1] - ref), max(np.abs(out).max(), abs(ref))
-    if gap > 1e-6 * scale:
-        raise engine.ConvergenceError("toy trace disagrees with adaptive quadrature", gap / scale)
-    return times, out
+    """(times, gamma) of the toy on a uniform grid over [0, t_max]: the engine's
+    trace, spot-checked against toy_rate."""
+    reference = partial(toy_rate, toy)  # looked up per call, so a test can patch toy_rate
+    times, gamma, _ = engine._uniform_trace(partial(_toy_nodes, toy), reference, t_max, n_points, "rate")
+    return times, gamma
 
 
 def toy_is_nonmarkovian(toy: ToyModel) -> bool:

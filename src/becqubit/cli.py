@@ -150,29 +150,19 @@ def _t_max(args, model) -> float:
 # ---------------------------------------------------------------------------
 
 
-def cmd_rate(args) -> int:
+def cmd_trace(args) -> int:
+    """The rate or decoherence trace, by subcommand name."""
     config = _resolve_config(args)
     model = model_from_config(config)
     t_max = _t_max(args, model)
-    trace = engine.build_rate_trace(model, t_max, n_points=args.points)
-    manifest = build_manifest(
-        "rate", config, {"t_max_s": _fmt(t_max), "points": args.points}
-    )
-    rows = [[t, g] for t, g in zip(trace.times, trace.gamma)]
-    emit(args, manifest, ["t_s", "gamma_per_s"], rows)
-    return EXIT_OK
-
-
-def cmd_decoherence(args) -> int:
-    config = _resolve_config(args)
-    model = model_from_config(config)
-    t_max = _t_max(args, model)
-    trace = engine.build_decoherence_trace(model, t_max, n_points=args.points)
-    manifest = build_manifest(
-        "decoherence", config, {"t_max_s": _fmt(t_max), "points": args.points}
-    )
-    rows = [[t, G, c] for t, G, c in zip(trace.times, trace.Gamma, trace.coherence)]
-    emit(args, manifest, ["t_s", "Gamma", "coherence"], rows)
+    if args.command == "rate":
+        trace = engine.build_rate_trace(model, t_max, n_points=args.points)
+        columns, rows = ["t_s", "gamma_per_s"], zip(trace.times, trace.gamma)
+    else:
+        trace = engine.build_decoherence_trace(model, t_max, n_points=args.points)
+        columns, rows = ["t_s", "Gamma", "coherence"], zip(trace.times, trace.Gamma, trace.coherence)
+    manifest = build_manifest(args.command, config, {"t_max_s": _fmt(t_max), "points": args.points})
+    emit(args, manifest, columns, rows)
     return EXIT_OK
 
 
@@ -338,13 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    p = add("rate", cmd_rate, help="decay rate gamma(t) trace as CSV")
-    p.add_argument("--t-max-t0", type=float, help="trace horizon in units of t0 (default: policy)")
-    p.add_argument("--points", type=int, default=500)
-
-    p = add("decoherence", cmd_decoherence, help="decoherence exponent and coherence trace")
-    p.add_argument("--t-max-t0", type=float)
-    p.add_argument("--points", type=int, default=500)
+    for name, about in (
+        ("rate", "decay rate gamma(t) trace as CSV"),
+        ("decoherence", "decoherence exponent and coherence trace"),
+    ):
+        p = add(name, cmd_trace, help=about)
+        p.add_argument("--t-max-t0", type=float, help="trace horizon in units of t0 (default: policy)")
+        p.add_argument("--points", type=int, default=500)
 
     p = add("measure", cmd_measure, help="non-Markovianity measures and intervals")
     p.add_argument("--t-max-t0", type=float)

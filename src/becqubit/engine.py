@@ -6,8 +6,8 @@ times an oscillatory factor built from the Bogoliubov phase E(q)*t.  They are
 evaluated with composite 16-node Gauss-Legendre panels (_gauss_legendre) sized
 so that no panel sees more than half an oscillation of the fastest phase, then
 refined by panel doubling (_refine) until the result is stable to RATE_RTOL.
-The same panel rule and refinement loop serve rate_from_spectrum and the toy
-spectrum in analysis.
+The same panel rule and refinement loop serve the rates of an omega-variable
+spectrum (_spectral_rate): rate_from_spectrum and the toy spectrum in analysis.
 
 The wavenumber integral is truncated at q = QMAX/tau where the Gaussian factor
 is below e^-32 ~ 1.3e-14 of its peak, negligible against RATE_RTOL.
@@ -18,11 +18,12 @@ rate_from_spectrum at the end of the window (_spectral_node_set).  Its panels
 are the graded head of _graded_edges, summed directly, and uniform panels of
 width h, on which node k of panel p sits at omega_k + p h: for each k the sum
 over p is a chirp-z transform in exp(i h dt), evaluated for all 16 node
-indices at once by one FFT convolution (_uniform_transform, Bluestein).  The
-same transform serves the toy rate trace in analysis.  Every trace is
-spot-checked against the adaptive wavenumber quadrature (_spot_check), an
-independent route, at its first step, its last point and its extremum; each
-distinct (model, time, kind) reference is computed once (_spot_reference).
+indices at once by one FFT convolution (_uniform_transform, Bluestein).
+_uniform_trace serves the model and the toy rate trace in analysis alike: every
+trace is spot-checked (_spot_check) at its first step, its last point and its
+extremum against a pointwise reference; for the model that is the adaptive
+wavenumber quadrature, an independent route, computed once per distinct
+(model, time, kind) (_spot_reference).
 """
 
 from __future__ import annotations
@@ -207,7 +208,11 @@ def _adaptive(model: ReducedModel, t_red: float, evaluate, what: str, kind: str)
 
 
 def _pointwise(model: ReducedModel, s: float, kind: str) -> float:
-    """Adaptive value at reduced time s > 0: gamma in s^-1 (kind 'rate') or Gamma ('gamma')."""
+    """Adaptive value at reduced time s >= 0: gamma in s^-1 (kind 'rate') or Gamma ('gamma')."""
+    if s < 0:
+        raise ValueError("t must be >= 0")
+    if s == 0.0:
+        return 0.0
     if kind == "rate":
         return model.A_tilde / model.t0 * _adaptive(model, s, lambda ns: ns.rate_at(s), "rate", "rate")
     return model.A_tilde * _adaptive(model, s, lambda ns: ns.gamma_at(s), "decoherence", "gamma")
@@ -220,19 +225,11 @@ def _pointwise(model: ReducedModel, s: float, kind: str) -> float:
 
 def rate(model: ReducedModel, t: float) -> float:
     """Dephasing rate gamma(t) in s^-1 at time t (seconds)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return 0.0
     return _pointwise(model, t / model.t0, "rate")
 
 
 def decoherence(model: ReducedModel, t: float) -> float:
     """Decoherence exponent Gamma(t) = int_0^t gamma, dimensionless."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return 0.0
     return _pointwise(model, t / model.t0, "gamma")
 
 
@@ -246,7 +243,6 @@ class RateTrace:
     times: np.ndarray  # seconds, strictly increasing, starts at 0
     gamma: np.ndarray  # s^-1
     rel_tol: float  # achieved quadrature tolerance at the spot-checked points
-    model: ReducedModel
 
     def __post_init__(self):
         if not np.all(np.diff(self.times) > 0):
@@ -300,17 +296,17 @@ def _uniform_transform(nodes: _NodeSet, times: np.ndarray, kind: str) -> np.ndar
     return out
 
 
-def _uniform_trace(model: ReducedModel, t_max: float, n_points: int, kind: str):
-    """(times, values, spot-check tolerance) of kind 'rate' (s^-1) or 'gamma' on
-    a uniform grid over [0, t_max] seconds.  omega t is the reduced phase E s
-    (hbar/(E0 t0) = 1), so the spectral nodes give SI values directly."""
+def _uniform_trace(node_set, reference, t_max: float, n_points: int, kind: str):
+    """(times, values, spot-check tolerance) of kind 'rate' or 'gamma' on a
+    uniform grid over [0, t_max]: the transform over the nodes node_set(t_max),
+    spot-checked against the pointwise values reference(t)."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     times = np.linspace(0.0, t_max, n_points)
-    values = _uniform_transform(_spectral_node_set(model, t_max), times, kind)
-    return times, values, _spot_check(model, times, values, kind)
+    values = _uniform_transform(node_set(t_max), times, kind)
+    return times, values, _spot_check(reference, times, values, kind)
 
 
 def build_rate_trace(model: ReducedModel, t_max: float, n_points: int = 2000) -> RateTrace:
@@ -322,13 +318,15 @@ def build_rate_trace(model: ReducedModel, t_max: float, n_points: int = 2000) ->
     rel_tol and gated at 100 * RATE_RTOL (the spot values themselves are
     converged to RATE_RTOL).
     """
-    times, gamma, rel_tol = _uniform_trace(model, t_max, n_points, "rate")
-    return RateTrace(times=times, gamma=gamma, rel_tol=rel_tol, model=model)
+    reference = lambda t: _spot_reference(model, t / model.t0, "rate")
+    times, gamma, rel_tol = _uniform_trace(partial(_spectral_node_set, model), reference, t_max, n_points, "rate")
+    return RateTrace(times=times, gamma=gamma, rel_tol=rel_tol)
 
 
 def build_decoherence_trace(model: ReducedModel, t_max: float, n_points: int = 2000) -> DecoherenceTrace:
     """Gamma(t) and coherence exp(-Gamma) on a uniform grid over [0, t_max]."""
-    times, Gamma, _ = _uniform_trace(model, t_max, n_points, "gamma")
+    reference = lambda t: _spot_reference(model, t / model.t0, "gamma")
+    times, Gamma, _ = _uniform_trace(partial(_spectral_node_set, model), reference, t_max, n_points, "gamma")
     return DecoherenceTrace(times=times, Gamma=Gamma, coherence=np.exp(-Gamma))
 
 
@@ -340,9 +338,9 @@ def build_decoherence_trace(model: ReducedModel, t_max: float, n_points: int = 2
 _spot_reference = lru_cache(maxsize=32)(_pointwise)
 
 
-def _spot_check(model: ReducedModel, times, values, kind: str) -> float:
-    """Compare trace values against adaptive pointwise results at key points:
-    the first step (where Gamma is smallest), the end and the extremum.
+def _spot_check(reference, times, values, kind: str) -> float:
+    """Compare trace values against the pointwise values reference(t) at key
+    points: the first step (where Gamma is smallest), the end and the extremum.
 
     Discrepancies are measured against the larger of the local value and a
     small fraction of the trace scale, so a spot landing near a zero crossing
@@ -353,7 +351,7 @@ def _spot_check(model: ReducedModel, times, values, kind: str) -> float:
     trace_scale = float(np.abs(values).max())
     worst = 0.0
     for idx in picks:
-        ref = _spot_reference(model, float(times[idx]) / model.t0, kind)
+        ref = reference(float(times[idx]))
         err = abs(values[idx] - ref) / max(abs(ref), 1e-6 * trace_scale, 1e-300)
         worst = max(worst, err)
     if worst > 100 * RATE_RTOL:
@@ -458,9 +456,14 @@ def rate_from_spectrum(model: ReducedModel, t: float) -> float:
     and nodes.  Used as a self-consistency check of the spectral extraction.
     The first omega panel is graded: J_eff ~ omega^-1/2 at 0 in the 1D free gas.
     """
+    return _spectral_rate(partial(_spectral_node_set, model), t, "spectral reconstruction did not converge")
+
+
+def _spectral_rate(node_set, t: float, failure: str) -> float:
+    """int J(omega) sin(omega t) domega for t >= 0, refined to RATE_RTOL over the
+    node sets node_set(t, refine) of an omega-variable spectrum."""
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return 0.0
-    failure = "spectral reconstruction did not converge"
-    return _refine(partial(_spectral_node_set, model, t), lambda ns: ns.rate_at(t), "rate", failure)
+    return _refine(partial(node_set, t), lambda ns: ns.rate_at(t), "rate", failure)

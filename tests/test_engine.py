@@ -148,6 +148,10 @@ class TestRate:
     def test_negative_time_rejected(self, default_model):
         with pytest.raises(ValueError):
             rate(default_model, -1.0)
+        with pytest.raises(ValueError):
+            decoherence(default_model, -1.0)
+        with pytest.raises(ValueError):
+            toy_rate(ToyModel(s=2.0, omega_c=1.0), -1.0)
 
     def test_free_gas_3d_rate_positive(self):
         # the free 3D gas only leaks information: gamma > 0 throughout
@@ -303,7 +307,6 @@ class TestTraces:
                 times=np.array([0.0, 0.0, 1.0]),
                 gamma=np.zeros(3),
                 rel_tol=0.0,
-                model=default_model,
             )
 
 
