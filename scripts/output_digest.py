@@ -17,12 +17,17 @@ Groups:
   spectral   toy_rate_trace at the CLI defaults and at s 1, 2.5 and 3; toy_rate
              at a few times; rate_from_spectrum in 1D/2D/3D, free gas and
              default coupling, at 0.5, 5 and 60 t0
+  cli        stdout, stderr and exit code of cli.main on CLI_CALLS: every
+             subcommand at cheap settings, with and without an explicit window,
+             and the failures that exit 2 and 4
 
 A point that raises contributes its exception type and message instead; each
 line ends with how many did.
 """
 
+import contextlib
 import hashlib
+import io
 import sys
 from pathlib import Path
 
@@ -30,6 +35,7 @@ import numpy as np
 
 from becqubit import (
     ToyModel,
+    cli,
     build_decoherence_trace,
     build_rate_trace,
     default_config,
@@ -49,6 +55,28 @@ from conftest import random_config  # noqa: E402
 
 N_DRAWS = 30
 SEED = 20120731  # the seed of the tests' rng fixture
+
+CLI_CALLS = [
+    ["rate"],
+    ["rate", "--t-max-t0", "50"],
+    ["decoherence"],
+    ["decoherence", "--t-max-t0", "50"],
+    ["rate", "--t-max-t0", "0"],
+    ["rate", "--points", "1"],
+    ["measure"],
+    ["measure", "--dimension", "2", "--t-max-t0", "120"],
+    ["crossover", "--tol-arb", "2e-2"],
+    ["crossover", "--tol-arb", "2e-2", "--a-b-max-arb", "0.01"],
+    ["sweep", "--axis", "a_B", "--grid", "0.5,1.0"],
+    ["sweep", "--axis", "L", "--grid", "50,100"],
+    ["sweep", "--axis", "a_B", "--grid", ","],
+    ["spectrum"],
+    ["spectrum", "--fit-lo-per-s", "1e3"],
+    ["toy"],
+    ["toy", "--critical"],
+    ["verify-pairs", "--pairs", "100", "--t-max-t0", "300"],
+    ["measure", "--l-nm", "abc"],
+]
 
 
 class Digest:
@@ -114,6 +142,13 @@ def spectral_point(d: Digest, model, t_t0: float):
     d.add(rate_from_spectrum(model, t_t0 * model.t0))
 
 
+def cli_call(d: Digest, argv: list[str]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    d.add((argv, out.getvalue(), err.getvalue(), code))
+
+
 def main() -> int:
     groups = {}
 
@@ -145,6 +180,10 @@ def main() -> int:
         for config in (default_config(dimension=dimension, a_B=0.0), default_config(dimension=dimension)):
             for t_t0 in (0.5, 5.0, 60.0):
                 d.run(spectral_point, model_from_config(config), t_t0)
+
+    d = groups["cli"] = Digest()
+    for argv in CLI_CALLS:
+        d.run(cli_call, argv)
 
     for name, digest in groups.items():
         print(f"{name:<10} {digest.hexdigest()}  ({digest.raised} of {digest.points} points raised)")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dynamics, engine
 from .constants import A_RB
-from .params import PhysicalConfig, model_from_config
+from .params import PhysicalConfig, default_config, model_from_config
 
 Classification = Literal["Markovian", "NonMarkovian"]
 
@@ -94,8 +94,6 @@ def find_crossover(
         raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    from .params import default_config
-
     base = config if config is not None else default_config()
     base = replace(base, dimension=dimension)
     if a_B_max is None:
@@ -132,17 +130,14 @@ class SweepTable:
             raise ValueError("column lengths differ")
 
 
-_SWEEP_FIELD = {"a_B": "a_B", "L": "L", "dimension": "dimension"}
-
-
 def sweep(axis: str, values, config: PhysicalConfig) -> SweepTable:
     """measure() at every point of the axis grid, continuing past failures.
 
     The grid is checked before any point is measured: it must be non-empty and
     strictly increasing."""
-    if axis not in _SWEEP_FIELD:
-        raise ValueError(f"axis must be one of {sorted(_SWEEP_FIELD)}, got {axis!r}")
-    values = [int(v) if axis == "dimension" else float(v) for v in values]
+    if axis not in ("a_B", "L"):
+        raise ValueError(f"axis must be 'a_B' or 'L', got {axis!r}")
+    values = [float(v) for v in values]
     if not values:
         raise ValueError("sweep grid is empty")
     if len(set(values)) != len(values):
@@ -155,7 +150,7 @@ def sweep(axis: str, values, config: PhysicalConfig) -> SweepTable:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                cfg = replace(config, **{_SWEEP_FIELD[axis]: v})
+                cfg = replace(config, **{axis: v})
             result = dynamics.measure(model_from_config(cfg))
             N_col.append(result.N)
             diag = dict(result.diagnostics)

@@ -1,8 +1,10 @@
 """Command-line front end: config resolution, subcommands, deterministic CSV.
 
-Every output starts with a comment header carrying the digest of the resolved
-run manifest; identical manifests produce byte-identical output.  Wall-clock
-time lives only in the optional sidecar manifest file, never in the CSV.
+One path from subcommand to CSV: main resolves the config, the subcommand
+returns what it computed as an Output, and emit writes it.  Every output starts
+with a comment header carrying the digest of the resolved run manifest;
+identical manifests produce byte-identical output.  Wall-clock time lives only
+in the optional sidecar manifest file, never in the CSV.
 
 Exit codes: 0 ok, 2 invalid config/usage, 3 numerical non-convergence,
 4 bracket/crossover failure.
@@ -12,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import sys
 import time
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -86,14 +88,13 @@ def build_manifest(command: str, config: PhysicalConfig | None, parameters: dict
         "horizon_caps_t0": dynamics.HORIZON_CAPS,
         "grid_size": dynamics.DEFAULT_GRID,
     }
-    manifest = {
+    return {
         "command": command,
         "version": __version__,
         "config": {k: v for k, v in config_items(config)} if config is not None else {},
         "parameters": parameters,
         "tolerances": tolerances,
     }
-    return manifest
 
 
 def manifest_digest(manifest: dict) -> str:
@@ -115,22 +116,32 @@ def _header_lines(manifest: dict) -> list[str]:
     return lines
 
 
-def emit(args, manifest: dict, columns: list[str], rows: list[list], trailer: str | None = None) -> None:
-    buf = io.StringIO()
-    for line in _header_lines(manifest):
-        buf.write(line + "\n")
-    buf.write(",".join(columns) + "\n")
-    for row in rows:
-        buf.write(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row) + "\n")
-    if trailer:
-        buf.write(trailer + "\n")
-    text = buf.getvalue()
+class Output(NamedTuple):
+    """What a subcommand computed: the manifest parameters, the CSV columns and
+    rows, an optional comment line after the rows, and the exit code."""
+
+    parameters: dict
+    columns: list[str]
+    rows: Iterable
+    trailer: str | None = None
+    code: int = EXIT_OK
+
+
+def emit(args, config: PhysicalConfig | None, output: Output, t_start: float) -> None:
+    """The CSV (header, columns, rows, trailer) to --out or stdout; with --out
+    also the sidecar manifest, which alone carries the wall-clock time."""
+    manifest = build_manifest(args.command, config, output.parameters)
+    lines = _header_lines(manifest) + [",".join(output.columns)]
+    lines += [",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row) for row in output.rows]
+    if output.trailer:
+        lines.append(output.trailer)
+    text = "".join(line + "\n" for line in lines)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         sidecar = dict(manifest)
         sidecar["digest"] = manifest_digest(manifest)
-        sidecar["wall_clock_s"] = time.time() - args._t_start
+        sidecar["wall_clock_s"] = time.time() - t_start
         with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -138,44 +149,34 @@ def emit(args, manifest: dict, columns: list[str], rows: list[list], trailer: st
         sys.stdout.write(text)
 
 
-def _t_max(args, model) -> float:
-    if args.t_max_t0 is not None:
-        return args.t_max_t0 * model.t0
-    t_max, _ = dynamics.choose_horizon(model)
-    return t_max
+def _window(args, model) -> float | None:
+    """The --t-max-t0 window in seconds, or None to leave it to the horizon policy."""
+    return None if args.t_max_t0 is None else args.t_max_t0 * model.t0
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: (parsed args, resolved config) -> Output
 # ---------------------------------------------------------------------------
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args, config) -> Output:
     """The rate or decoherence trace, by subcommand name."""
-    config = _resolve_config(args)
     model = model_from_config(config)
-    t_max = _t_max(args, model)
+    t_max = _window(args, model)
+    if t_max is None:
+        t_max, _ = dynamics.choose_horizon(model)
     if args.command == "rate":
         trace = engine.build_rate_trace(model, t_max, n_points=args.points)
         columns, rows = ["t_s", "gamma_per_s"], zip(trace.times, trace.gamma)
     else:
         trace = engine.build_decoherence_trace(model, t_max, n_points=args.points)
         columns, rows = ["t_s", "Gamma", "coherence"], zip(trace.times, trace.Gamma, trace.coherence)
-    manifest = build_manifest(args.command, config, {"t_max_s": _fmt(t_max), "points": args.points})
-    emit(args, manifest, columns, rows)
-    return EXIT_OK
+    return Output({"t_max_s": _fmt(t_max), "points": args.points}, columns, rows)
 
 
-def cmd_measure(args) -> int:
-    config = _resolve_config(args)
+def cmd_measure(args, config) -> Output:
     model = model_from_config(config)
-    t_max = args.t_max_t0 * model.t0 if args.t_max_t0 is not None else None
-    result = dynamics.measure(model, t_max)
-    manifest = build_manifest(
-        "measure",
-        config,
-        {"t_max_t0": args.t_max_t0 if args.t_max_t0 is not None else "auto"},
-    )
+    result = dynamics.measure(model, _window(args, model))
     rows = [
         ["N", result.N],
         ["N_blp", result.N_blp],
@@ -189,39 +190,23 @@ def cmd_measure(args) -> int:
         f"# summary: N={_fmt(result.N)} N_blp={_fmt(result.N_blp)} "
         f"intervals={len(result.intervals)} t_max_s={_fmt(result.t_max_used)}"
     )
-    emit(args, manifest, ["quantity", "value"], rows, trailer=trailer)
-    return EXIT_OK
+    parameters = {"t_max_t0": args.t_max_t0 if args.t_max_t0 is not None else "auto"}
+    return Output(parameters, ["quantity", "value"], rows, trailer)
 
 
-def cmd_crossover(args) -> int:
-    config = _resolve_config(args)
+def cmd_crossover(args, config) -> Output:
     tol = args.tol_arb * A_RB
     a_B_max = args.a_b_max_arb * A_RB if args.a_b_max_arb is not None else None
     result = analysis.find_crossover(config.dimension, config, tol=tol, a_B_max=a_B_max)
-    manifest = build_manifest(
-        "crossover",
-        config,
+    row = [result.dimension, result.a_crit, result.a_crit_over_aRb, *result.bracket, result.evaluations]
+    return Output(
         {"tol_arb": args.tol_arb, "a_b_max_arb": args.a_b_max_arb},
-    )
-    rows = [[
-        result.dimension,
-        result.a_crit,
-        result.a_crit_over_aRb,
-        result.bracket[0],
-        result.bracket[1],
-        result.evaluations,
-    ]]
-    emit(
-        args,
-        manifest,
         ["dimension", "a_crit_m", "a_crit_over_aRb", "bracket_lo_m", "bracket_hi_m", "evaluations"],
-        rows,
+        [row],
     )
-    return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    config = _resolve_config(args)
+def cmd_sweep(args, config) -> Output:
     try:
         raw = [float(v) for v in args.grid.split(",") if v.strip()]
     except ValueError as exc:
@@ -229,19 +214,12 @@ def cmd_sweep(args) -> int:
     col = {"a_B": "a_B_over_aRb", "L": "L_nm"}[args.axis]  # the config key of the grid unit
     _, scale = _CONFIG_KEYS[col]
     table = analysis.sweep(args.axis, [v * scale for v in raw], config)
-    manifest = build_manifest("sweep", config, {"axis": args.axis, "grid": args.grid})
-    rows = []
-    failed = False
-    for v, N, diag in zip(raw, table.N, table.diagnostics):
-        status = diag.get("status", "ok")
-        failed = failed or status != "ok"
-        rows.append([v, N if N == N else "", status])
-    emit(args, manifest, [col, "N", "status"], rows)
-    return EXIT_CONVERGENCE if failed else EXIT_OK
+    rows = [[v, N if N == N else "", diag["status"]] for v, N, diag in zip(raw, table.N, table.diagnostics)]
+    code = EXIT_CONVERGENCE if any(status != "ok" for _, _, status in rows) else EXIT_OK
+    return Output({"axis": args.axis, "grid": args.grid}, [col, "N", "status"], rows, code=code)
 
 
-def cmd_spectrum(args) -> int:
-    config = _resolve_config(args)
+def cmd_spectrum(args, config) -> Output:
     model = model_from_config(config)
     omegas = np.geomspace(args.omega_min_per_s, args.omega_max_per_s, args.points)
     window = None
@@ -250,64 +228,45 @@ def cmd_spectrum(args) -> int:
             raise ValueError("--fit-lo-per-s and --fit-hi-per-s must be given together")
         window = (args.fit_lo_per_s, args.fit_hi_per_s)
     profile = engine.effective_spectral_density(model, omegas, fit_window=window)
-    manifest = build_manifest(
-        "spectrum",
-        config,
-        {
-            "omega_min_per_s": _fmt(args.omega_min_per_s),
-            "omega_max_per_s": _fmt(args.omega_max_per_s),
-            "points": args.points,
-            "fit_window_per_s": f"{_fmt(profile.fit_window[0])}..{_fmt(profile.fit_window[1])}",
-        },
-    )
-    rows = [[w, J] for w, J in zip(profile.omegas, profile.J)]
-    trailer = f"# s_fit={_fmt(profile.s_fit)} over [{_fmt(profile.fit_window[0])},{_fmt(profile.fit_window[1])}] per_s"
-    emit(args, manifest, ["omega_per_s", "J"], rows, trailer=trailer)
-    return EXIT_OK
+    lo, hi = profile.fit_window
+    parameters = {
+        "omega_min_per_s": _fmt(args.omega_min_per_s),
+        "omega_max_per_s": _fmt(args.omega_max_per_s),
+        "points": args.points,
+        "fit_window_per_s": f"{_fmt(lo)}..{_fmt(hi)}",
+    }
+    trailer = f"# s_fit={_fmt(profile.s_fit)} over [{_fmt(lo)},{_fmt(hi)}] per_s"
+    return Output(parameters, ["omega_per_s", "J"], zip(profile.omegas, profile.J), trailer)
 
 
-def cmd_toy(args) -> int:
+def cmd_toy(args, config) -> Output:
     if args.critical:
         s_crit = analysis.toy_critical_s(args.omega_c, tol=args.tol)
-        manifest = build_manifest(
-            "toy", None, {"critical": True, "omega_c": _fmt(args.omega_c), "tol": _fmt(args.tol)}
+        return Output(
+            {"critical": True, "omega_c": _fmt(args.omega_c), "tol": _fmt(args.tol)},
+            ["omega_c", "s_crit", "tol"],
+            [[args.omega_c, s_crit, args.tol]],
         )
-        emit(args, manifest, ["omega_c", "s_crit", "tol"], [[args.omega_c, s_crit, args.tol]])
-        return EXIT_OK
     toy = analysis.ToyModel(s=args.s, omega_c=args.omega_c)
     times, gamma = analysis.toy_rate_trace(toy, args.t_max_wc / args.omega_c, args.points)
-    manifest = build_manifest(
-        "toy",
-        None,
-        {
-            "critical": False,
-            "s": _fmt(args.s),
-            "omega_c": _fmt(args.omega_c),
-            "t_max_wc": _fmt(args.t_max_wc),
-            "points": args.points,
-        },
-    )
-    rows = [[t, g] for t, g in zip(times, gamma)]
-    emit(args, manifest, ["t", "gamma_toy"], rows)
-    return EXIT_OK
+    parameters = {
+        "critical": False,
+        "s": _fmt(args.s),
+        "omega_c": _fmt(args.omega_c),
+        "t_max_wc": _fmt(args.t_max_wc),
+        "points": args.points,
+    }
+    return Output(parameters, ["t", "gamma_toy"], zip(times, gamma))
 
 
-def cmd_verify_pairs(args) -> int:
-    config = _resolve_config(args)
+def cmd_verify_pairs(args, config) -> Output:
     model = model_from_config(config)
-    t_max = args.t_max_t0 * model.t0 if args.t_max_t0 is not None else None
-    report = dynamics.verify_optimal_pair(model, t_max, n_random_pairs=args.pairs, seed=args.seed)
-    manifest = build_manifest(
-        "verify-pairs", config, {"pairs": args.pairs, "seed": args.seed}
-    )
-    rows = [[report.n_pairs, report.optimal_regain, report.max_random_regain, report.max_ratio, report.seed]]
-    emit(
-        args,
-        manifest,
+    report = dynamics.verify_optimal_pair(model, _window(args, model), n_random_pairs=args.pairs, seed=args.seed)
+    return Output(
+        {"pairs": args.pairs, "seed": args.seed},
         ["n_pairs", "optimal_regain", "max_random_regain", "max_ratio", "seed"],
-        rows,
+        [[report.n_pairs, report.optimal_regain, report.max_random_regain, report.max_ratio, report.seed]],
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args._t_start = time.time()
+    t_start = time.time()
     try:
-        return args.fn(args)
+        config = None if args.command == "toy" else _resolve_config(args)
+        output = args.fn(args, config)
+        emit(args, config, output, t_start)
+        return output.code
     except analysis.BracketError as exc:
         print(f"becqubit: bracket failure: {exc}", file=sys.stderr)
         return EXIT_BRACKET

@@ -305,8 +305,11 @@ def _uniform_trace(node_set, reference, t_max: float, n_points: int, kind: str):
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     times = np.linspace(0.0, t_max, n_points)
-    values = _uniform_transform(node_set(t_max), times, kind)
-    return times, values, _spot_check(reference, times, values, kind)
+    nodes = node_set(t_max)
+    values = _uniform_transform(nodes, times, kind)
+    floor = 1e-12 * nodes.envelope_bound(kind)
+    del nodes  # freed before the spot check builds the reference node sets
+    return times, values, _spot_check(reference, times, values, kind, floor)
 
 
 def build_rate_trace(model: ReducedModel, t_max: float, n_points: int = 2000) -> RateTrace:
@@ -338,13 +341,16 @@ def build_decoherence_trace(model: ReducedModel, t_max: float, n_points: int = 2
 _spot_reference = lru_cache(maxsize=32)(_pointwise)
 
 
-def _spot_check(reference, times, values, kind: str) -> float:
+def _spot_check(reference, times, values, kind: str, floor: float) -> float:
     """Compare trace values against the pointwise values reference(t) at key
     points: the first step (where Gamma is smallest), the end and the extremum.
 
     Discrepancies are measured against the larger of the local value and a
     small fraction of the trace scale, so a spot landing near a zero crossing
-    of the rate cannot trip the check on pure cancellation noise.
+    of the rate cannot trip the check on pure cancellation noise.  A spot where
+    both values are at or below floor (the cancellation floor of _refine, to
+    which the reference is converged) is skipped: both are noise there, and so
+    would be the trace scale if every value is.
     """
     picks = {1, len(times) - 1, int(np.argmax(np.abs(values)))}
     picks.discard(0)
@@ -352,6 +358,8 @@ def _spot_check(reference, times, values, kind: str) -> float:
     worst = 0.0
     for idx in picks:
         ref = reference(float(times[idx]))
+        if abs(values[idx]) <= floor and abs(ref) <= floor:
+            continue
         err = abs(values[idx] - ref) / max(abs(ref), 1e-6 * trace_scale, 1e-300)
         worst = max(worst, err)
     if worst > 100 * RATE_RTOL:
@@ -443,8 +451,8 @@ def _spectral_node_set(model: ReducedModel, t: float, refine: int = 0) -> _NodeS
     seconds: the coefficients are J_eff times the weights, the energies omega."""
     omega_max = _energy_reduced(QMAX, model.u_tilde) * model.E0 / HBAR
     # panels sized against the oscillation of sin(omega t) in omega, with a
-    # floor that resolves the kernel structure of J itself
-    n_p = max(128, int(math.ceil(omega_max * t / math.pi)) + 128) << refine
+    # further 128 that resolve the kernel structure of J itself
+    n_p = (int(math.ceil(omega_max * t / math.pi)) + 128) << refine
     w, weights = _gauss_legendre(_graded_edges(omega_max, n_p))
     return _NodeSet(coeff=weights * spectral_density_values(model, w), energy=w)
 

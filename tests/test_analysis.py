@@ -146,6 +146,14 @@ class TestToyModel:
             toy_rate_trace(ToyModel(s=2.5, omega_c=1.0), 10.0)
         assert info.value.achieved == pytest.approx(1e-6, rel=1e-2)
 
+    @pytest.mark.parametrize("n_points", [2, 3, 10])
+    def test_short_trace_passes_spot_check(self, n_points):
+        # at the CLI window of 64/omega_c the coarse grid puts every spot where
+        # the true rate is below 1e-12 of the envelope bound, and both the
+        # transform and toy_rate return cancellation noise there
+        times, gamma = toy_rate_trace(ToyModel(s=2.0, omega_c=1.0), 64.0, n_points)
+        assert len(times) == len(gamma) == n_points
+
     def test_ohmic_never_negative(self):
         _, g = toy_rate_trace(ToyModel(s=1.0, omega_c=1.0), 40.0)
         assert g.min() >= -1e-12 * np.abs(g).max()

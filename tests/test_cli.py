@@ -170,6 +170,12 @@ class TestToyCommand:
         assert float(rows[0][1]) == 0.0
         assert all(float(r[1]) >= -1e-15 for r in rows)
 
+    def test_short_grid_succeeds(self, capsys):
+        code, out, err = run_cli(capsys, "toy", "--points", "10")
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert len(rows) == 10
+
 
 class TestVerifyPairsCommand:
     def test_ratio_bounded(self, capsys):
@@ -281,6 +287,13 @@ class TestConfigFlags:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "n_points must be at least 2" in err
+
+    @pytest.mark.parametrize("command", ["rate", "measure"])
+    def test_zero_window_exit_2(self, capsys, command):
+        # an explicit zero window is an error, not a request for the policy horizon
+        code, _, err = run_cli(capsys, command, "--t-max-t0", "0")
+        assert code == 2
+        assert "t_max must be positive" in err
 
 
 class TestConvergenceExit:
