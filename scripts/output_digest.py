@@ -14,12 +14,18 @@ Groups:
   traces     rate and Gamma traces (2000 points) at the horizon cap of each
              dimension, free gas and default coupling
   toy        toy_critical_s at omega_c 1 and 10
-  spectral   toy_rate_trace at the CLI defaults and at s 1, 2.5 and 3; toy_rate
-             at a few times; rate_from_spectrum in 1D/2D/3D, free gas and
-             default coupling, at 0.5, 5 and 60 t0
+  spectral   rate_from_spectrum in 1D/2D/3D, free gas and default coupling, at
+             0.5, 5 and 60 t0
+  toy_spectral
+             toy_rate_trace at the CLI defaults and at s 1, 2.5 and 3; toy_rate
+             at a few times
   cli        stdout, stderr and exit code of cli.main on CLI_CALLS: every
-             subcommand at cheap settings, with and without an explicit window,
-             and the failures that exit 2 and 4
+             subcommand but toy at cheap settings, with and without an explicit
+             window, and the failures that exit 2 and 4
+  cli_toy    the same for the toy calls in CLI_TOY_CALLS
+
+The model groups (crossover to spectral, cli) and the toy groups (toy_spectral,
+cli_toy) are apart, so a change to the toy's quadrature shows on its own lines.
 
 A point that raises contributes its exception type and message instead; each
 line ends with how many did.
@@ -72,10 +78,13 @@ CLI_CALLS = [
     ["sweep", "--axis", "a_B", "--grid", ","],
     ["spectrum"],
     ["spectrum", "--fit-lo-per-s", "1e3"],
-    ["toy"],
-    ["toy", "--critical"],
     ["verify-pairs", "--pairs", "100", "--t-max-t0", "300"],
     ["measure", "--l-nm", "abc"],
+]
+
+CLI_TOY_CALLS = [
+    ["toy"],
+    ["toy", "--critical"],
 ]
 
 
@@ -171,22 +180,28 @@ def main() -> int:
         d.run(toy, omega_c)
 
     d = groups["spectral"] = Digest()
-    for s in (2.0, 1.0, 2.5, 3.0):
-        d.run(toy_trace, s)
-    for s in (1.0, 2.5, 3.0):
-        for t in (0.5, 2.0, 9.0, 40.0):
-            d.run(toy_point, s, t)
     for dimension in (1, 2, 3):
         for config in (default_config(dimension=dimension, a_B=0.0), default_config(dimension=dimension)):
             for t_t0 in (0.5, 5.0, 60.0):
                 d.run(spectral_point, model_from_config(config), t_t0)
 
+    d = groups["toy_spectral"] = Digest()
+    for s in (2.0, 1.0, 2.5, 3.0):
+        d.run(toy_trace, s)
+    for s in (1.0, 2.5, 3.0):
+        for t in (0.5, 2.0, 9.0, 40.0):
+            d.run(toy_point, s, t)
+
     d = groups["cli"] = Digest()
     for argv in CLI_CALLS:
         d.run(cli_call, argv)
 
+    d = groups["cli_toy"] = Digest()
+    for argv in CLI_TOY_CALLS:
+        d.run(cli_call, argv)
+
     for name, digest in groups.items():
-        print(f"{name:<10} {digest.hexdigest()}  ({digest.raised} of {digest.points} points raised)")
+        print(f"{name:<12} {digest.hexdigest()}  ({digest.raised} of {digest.points} points raised)")
     return 0
 
 

@@ -183,23 +183,12 @@ class ToyModel:
             raise ValueError(f"omega_c must be > 0, got {self.omega_c}")
 
 
-def _toy_panels(toy: ToyModel, t: float, refine: int = 0) -> np.ndarray:
-    """Oscillation-aware panel edges on [0, 8 omega_c], geometrically graded at 0.
-
-    The dephasing-rate integrand omega^(s-1) sin(omega t) behaves like
-    t*omega^s near zero; grading removes the algebraic endpoint error for
-    non-integer s so panel doubling converges spectrally.
-    """
-    omega_max = TOY_OMEGA_MAX_FACTOR * toy.omega_c
-    n_p = max(64, int(math.ceil(omega_max * abs(t) / math.pi))) << refine
-    return engine._graded_edges(omega_max, n_p)
-
-
-def _toy_nodes(toy: ToyModel, t: float, refine: int = 0) -> engine._NodeSet:
-    """Nodes of int J(omega)/omega sin(omega t) domega, resolved up to time t."""
-    w, wt = engine._gauss_legendre(_toy_panels(toy, t, refine))
-    coeff = wt * w ** (toy.s - 1.0) * np.exp(-((w / toy.omega_c) ** 2))
-    return engine._NodeSet(coeff=coeff, energy=w)
+def _toy_nodes(toy: ToyModel, t: float, refine: int = 0):
+    """engine._omega_nodes of J(omega)/omega on [0, 8 omega_c], resolved up to time t;
+    their grading at 0, where the integrand goes like t omega^s, keeps panel
+    doubling spectral for non-integer s."""
+    density = lambda w: w ** (toy.s - 1.0) * np.exp(-((w / toy.omega_c) ** 2))
+    return engine._omega_nodes(density, TOY_OMEGA_MAX_FACTOR * toy.omega_c, t, refine)
 
 
 def toy_rate(toy: ToyModel, t: float) -> float:
@@ -209,7 +198,7 @@ def toy_rate(toy: ToyModel, t: float) -> float:
     integral Gamma(t) = int J(omega) (1 - cos omega t)/omega^2 domega; it puts
     the Markovian boundary of the Gaussian-cutoff family at s = 2.
     """
-    return engine._spectral_rate(partial(_toy_nodes, toy), t, "toy rate quadrature did not converge")
+    return engine._converged(partial(_toy_nodes, toy), t, "rate", "toy rate quadrature did not converge")
 
 
 def toy_rate_trace(toy: ToyModel, t_max: float, n_points: int = TOY_GRID):

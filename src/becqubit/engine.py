@@ -5,9 +5,10 @@ f(q) = q^(D-1) W_D(q*ell) exp(-q^2/2) / (q^2/2 + u_tilde)  (reduced units)
 times an oscillatory factor built from the Bogoliubov phase E(q)*t.  They are
 evaluated with composite 16-node Gauss-Legendre panels (_gauss_legendre) sized
 so that no panel sees more than half an oscillation of the fastest phase, then
-refined by panel doubling (_refine) until the result is stable to RATE_RTOL.
-The same panel rule and refinement loop serve the rates of an omega-variable
-spectrum (_spectral_rate): rate_from_spectrum and the toy spectrum in analysis.
+refined by panel doubling (_converged) until the result is stable to RATE_RTOL.
+The same refinement loop serves the rates of an omega-variable spectrum, whose
+panels follow one rule (_omega_nodes): rate_from_spectrum over J_eff and the
+toy spectrum in analysis.
 
 The wavenumber integral is truncated at q = QMAX/tau where the Gaussian factor
 is below e^-32 ~ 1.3e-14 of its peak, negligible against RATE_RTOL.
@@ -167,11 +168,14 @@ class _NodeSet:
 
     def envelope_bound(self, kind: str) -> float:
         """Upper bound on |integral|: the oscillatory factor is at most 1 (rate)
-        or 2/E (gamma).  Sets the absolute floor below which a result is
-        indistinguishable from cancellation noise."""
+        or 2/E (gamma)."""
         if kind == "rate":
             return float(self.coeff.sum())
         return float(2.0 * (self.coeff / self.energy).sum())
+
+    def floor(self, kind: str) -> float:
+        """Absolute floor below which a result is indistinguishable from cancellation noise."""
+        return 1e-12 * self.envelope_bound(kind)
 
 
 def _node_set(model: ReducedModel, t_red: float, refine: int = 0) -> _NodeSet:
@@ -180,20 +184,21 @@ def _node_set(model: ReducedModel, t_red: float, refine: int = 0) -> _NodeSet:
     return _NodeSet(coeff=w * _envelope(model, q), energy=_energy_reduced(q, model.u_tilde))
 
 
-def _refine(node_set, evaluate, kind: str, failure: str) -> float:
-    """Panel-doubling refinement of evaluate(node_set(refine)) to RATE_RTOL.
-
-    The tolerance floor is tied to the envelope bound of the unrefined rule:
-    once the change is below 1e-12 of the envelope integral the value is
-    cancellation-limited and accepted as converged (relevant only where the
-    integral itself vanishes).
-    """
-    nodes = node_set(0)
-    floor = 1e-12 * nodes.envelope_bound(kind)
-    prev = evaluate(nodes)
+def _converged(node_set, s: float, kind: str, failure: str) -> float:
+    """The integral of kind 'rate' (rate_at) or 'gamma' (gamma_at) at time s >= 0,
+    refined by panel doubling over node_set(s, refine) to RATE_RTOL.  A change
+    below the floor of the unrefined rule is cancellation noise and accepted."""
+    if s < 0:
+        raise ValueError("t must be >= 0")
+    if s == 0.0:
+        return 0.0
+    evaluate = _NodeSet.rate_at if kind == "rate" else _NodeSet.gamma_at
+    nodes = node_set(s, 0)
+    floor = nodes.floor(kind)
+    prev = evaluate(nodes, s)
     achieved = math.inf
     for refine in range(1, MAX_REFINE + 1):
-        cur = evaluate(node_set(refine))
+        cur = evaluate(node_set(s, refine), s)
         achieved = abs(cur - prev) / max(abs(cur), floor, 1e-300)
         if abs(cur - prev) <= max(RATE_RTOL * abs(cur), floor):
             return cur
@@ -201,21 +206,10 @@ def _refine(node_set, evaluate, kind: str, failure: str) -> float:
     raise ConvergenceError(failure, achieved)
 
 
-def _adaptive(model: ReducedModel, t_red: float, evaluate, what: str, kind: str) -> float:
-    """_refine over the wavenumber node sets of the model at reduced time t_red."""
-    failure = f"{what} quadrature did not converge at t={t_red} t0"
-    return _refine(partial(_node_set, model, t_red), evaluate, kind, failure)
-
-
 def _pointwise(model: ReducedModel, s: float, kind: str) -> float:
     """Adaptive value at reduced time s >= 0: gamma in s^-1 (kind 'rate') or Gamma ('gamma')."""
-    if s < 0:
-        raise ValueError("t must be >= 0")
-    if s == 0.0:
-        return 0.0
-    if kind == "rate":
-        return model.A_tilde / model.t0 * _adaptive(model, s, lambda ns: ns.rate_at(s), "rate", "rate")
-    return model.A_tilde * _adaptive(model, s, lambda ns: ns.gamma_at(s), "decoherence", "gamma")
+    what, scale = ("rate", model.A_tilde / model.t0) if kind == "rate" else ("decoherence", model.A_tilde)
+    return scale * _converged(partial(_node_set, model), s, kind, f"{what} quadrature did not converge at t={s} t0")
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +301,7 @@ def _uniform_trace(node_set, reference, t_max: float, n_points: int, kind: str):
     times = np.linspace(0.0, t_max, n_points)
     nodes = node_set(t_max)
     values = _uniform_transform(nodes, times, kind)
-    floor = 1e-12 * nodes.envelope_bound(kind)
+    floor = nodes.floor(kind)
     del nodes  # freed before the spot check builds the reference node sets
     return times, values, _spot_check(reference, times, values, kind, floor)
 
@@ -348,8 +342,8 @@ def _spot_check(reference, times, values, kind: str, floor: float) -> float:
     Discrepancies are measured against the larger of the local value and a
     small fraction of the trace scale, so a spot landing near a zero crossing
     of the rate cannot trip the check on pure cancellation noise.  A spot where
-    both values are at or below floor (the cancellation floor of _refine, to
-    which the reference is converged) is skipped: both are noise there, and so
+    both values are at or below floor (the cancellation floor of _converged,
+    to which the reference is converged) is skipped: both are noise there, and so
     would be the trace scale if every value is.
     """
     picks = {1, len(times) - 1, int(np.argmax(np.abs(values)))}
@@ -446,15 +440,19 @@ def fit_exponent(profile: SpectralProfile, window: tuple[float, float]) -> float
     return fit_exponent_values(profile.omegas, profile.J, window)
 
 
-def _spectral_node_set(model: ReducedModel, t: float, refine: int = 0) -> _NodeSet:
-    """Nodes of int J_eff(omega) sin(omega t') domega in SI, resolved for t' <= t
-    seconds: the coefficients are J_eff times the weights, the energies omega."""
-    omega_max = _energy_reduced(QMAX, model.u_tilde) * model.E0 / HBAR
-    # panels sized against the oscillation of sin(omega t) in omega, with a
-    # further 128 that resolve the kernel structure of J itself
+def _omega_nodes(density, omega_max: float, t: float, refine: int) -> _NodeSet:
+    """Nodes of int density(omega) sin(omega t') domega on [0, omega_max] for t' <= t:
+    panels against the oscillation of sin(omega t) plus 128 for the density itself,
+    graded at 0, where the density need not be smooth."""
     n_p = (int(math.ceil(omega_max * t / math.pi)) + 128) << refine
     w, weights = _gauss_legendre(_graded_edges(omega_max, n_p))
-    return _NodeSet(coeff=weights * spectral_density_values(model, w), energy=w)
+    return _NodeSet(coeff=weights * density(w), energy=w)
+
+
+def _spectral_node_set(model: ReducedModel, t: float, refine: int = 0) -> _NodeSet:
+    """_omega_nodes of J_eff in SI, resolved for t' <= t seconds."""
+    omega_max = _energy_reduced(QMAX, model.u_tilde) * model.E0 / HBAR
+    return _omega_nodes(partial(spectral_density_values, model), omega_max, t, refine)
 
 
 def rate_from_spectrum(model: ReducedModel, t: float) -> float:
@@ -464,14 +462,4 @@ def rate_from_spectrum(model: ReducedModel, t: float) -> float:
     and nodes.  Used as a self-consistency check of the spectral extraction.
     The first omega panel is graded: J_eff ~ omega^-1/2 at 0 in the 1D free gas.
     """
-    return _spectral_rate(partial(_spectral_node_set, model), t, "spectral reconstruction did not converge")
-
-
-def _spectral_rate(node_set, t: float, failure: str) -> float:
-    """int J(omega) sin(omega t) domega for t >= 0, refined to RATE_RTOL over the
-    node sets node_set(t, refine) of an omega-variable spectrum."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return 0.0
-    return _refine(partial(node_set, t), lambda ns: ns.rate_at(t), "rate", failure)
+    return _converged(partial(_spectral_node_set, model), t, "rate", "spectral reconstruction did not converge")

@@ -8,7 +8,10 @@ with a single dimensionless amplitude A_tilde in front.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 
@@ -17,6 +20,23 @@ from .constants import A_RB, ATOMIC_MASS_KG, BOHR_RADIUS, HBAR, MASS_NA23_U, MAS
 
 class RegimeWarning(UserWarning):
     """Raised as a warning when a validity assumption is stretched but usable."""
+
+
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
+
+
+def _caller_stacklevel() -> int:
+    """The warnings.warn stacklevel, seen from the caller of this function, of the
+    first frame outside this package and dataclasses (whose generated __init__
+    and replace() sit between __post_init__ and the code that built the config)."""
+    level, frame = 1, sys._getframe(1)
+    while frame.f_back is not None and (
+        frame.f_code.co_filename.startswith(_PACKAGE_DIR)
+        or frame.f_code.co_filename == dataclasses.__file__
+        or frame.f_code is PhysicalConfig.__init__.__code__
+    ):
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 @dataclass(frozen=True)
@@ -66,28 +86,18 @@ class PhysicalConfig:
                 f"sqrt(a_B^3 n0) = {gas_param:.3g} > 0.3: outside the weakly "
                 "interacting regime the rate formula is built on"
             )
-        if gas_param > 0.1:
-            warnings.warn(
-                f"sqrt(a_B^3 n0) = {gas_param:.3g} > 0.1: weak-interaction "
-                "assumption is marginal",
-                RegimeWarning,
-                stacklevel=2,
-            )
-        # quasi-low-dimensional reduction needs a_B well below the confinement length
-        if self.dimension == 2 and self.a_B > 0.1 * self.a_z:
-            warnings.warn(
-                f"a_B/a_z = {self.a_B / self.a_z:.3g} > 0.1: quasi-2D coupling "
-                "formula is marginal",
-                RegimeWarning,
-                stacklevel=2,
-            )
-        if self.dimension == 1 and self.a_B > 0.1 * self.a_perp:
-            warnings.warn(
-                f"a_B/a_perp = {self.a_B / self.a_perp:.3g} > 0.1: quasi-1D "
-                "coupling formula is marginal",
-                RegimeWarning,
-                stacklevel=2,
-            )
+        # marginal weak interaction, and the quasi-low-dimensional reduction
+        # needs a_B well below the confinement length
+        stretched = (
+            (gas_param > 0.1, f"sqrt(a_B^3 n0) = {gas_param:.3g} > 0.1: weak-interaction assumption is marginal"),
+            (self.dimension == 2 and self.a_B > 0.1 * self.a_z,
+             f"a_B/a_z = {self.a_B / self.a_z:.3g} > 0.1: quasi-2D coupling formula is marginal"),
+            (self.dimension == 1 and self.a_B > 0.1 * self.a_perp,
+             f"a_B/a_perp = {self.a_B / self.a_perp:.3g} > 0.1: quasi-1D coupling formula is marginal"),
+        )
+        for condition, message in stretched:
+            if condition:
+                warnings.warn(message, RegimeWarning, stacklevel=_caller_stacklevel())
 
 
 def default_config(**overrides) -> PhysicalConfig:

@@ -5,6 +5,8 @@ criterion.  The crossover bisections (criterion 1) are computed once in a
 session fixture shared with the ordering test.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from becqubit import (
     toy_critical_s,
 )
 from becqubit.constants import A_RB
-from becqubit.engine import _adaptive, _node_set
+from becqubit.engine import _converged, _node_set
 from conftest import random_config
 
 # reference crossover values with their acceptance tolerances
@@ -120,7 +122,7 @@ def test_criterion_6_oracle_equivalence(rng):
     for _ in range(20):
         model = model_from_config(random_config(rng))
         s = float(rng.uniform(0.05, 30.0))
-        base = _adaptive(model, s, lambda ns: ns.rate_at(s), "rate", "rate")
+        base = _converged(partial(_node_set, model), s, "rate", "rate")
         doubled = _node_set(model, s, refine=1).rate_at(s)
         scale = max(abs(base), 1e-12 * _node_set(model, s).envelope_bound("rate"))
         worst = max(worst, abs(doubled - base) / scale)

@@ -129,6 +129,8 @@ class TestToyModel:
             ToyModel(s=0.0, omega_c=1.0)
         with pytest.raises(ValueError):
             ToyModel(s=1.0, omega_c=-1.0)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            toy_rate(ToyModel(s=2.0, omega_c=1.0), -1.0)
 
     def test_rate_zero_at_zero(self):
         assert toy_rate(ToyModel(s=2.0, omega_c=1.0), 0.0) == 0.0

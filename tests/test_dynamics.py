@@ -224,13 +224,13 @@ class TestScan:
         # the last horizon probe and the scan end at the same time
         engine._spot_reference.cache_clear()
         calls = []
-        real = engine._adaptive
+        real = engine._converged
 
-        def counted(model, t_red, evaluate, what, kind):
-            calls.append((t_red, what))
-            return real(model, t_red, evaluate, what, kind)
+        def counted(node_set, s, kind, failure):
+            calls.append((s, kind))
+            return real(node_set, s, kind, failure)
 
-        monkeypatch.setattr(engine, "_adaptive", counted)
+        monkeypatch.setattr(engine, "_converged", counted)
         scan(default_model)
         assert calls and len(set(calls)) == len(calls)
 

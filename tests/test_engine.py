@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from becqubit import (
 import becqubit
 from becqubit.constants import A_RB, HBAR
 from becqubit.dynamics import HORIZON_CAPS
-from becqubit.engine import RATE_RTOL, _adaptive, _node_set, _NodeSet
+from becqubit.engine import RATE_RTOL, _converged, _node_set, _NodeSet
 from conftest import random_config
 
 
@@ -172,7 +173,7 @@ class TestRate:
             cfg = random_config(rng)
             m = model_from_config(cfg)
             t_red = float(rng.uniform(0.05, 30.0))
-            base = _adaptive(m, t_red, lambda ns: ns.rate_at(t_red), "rate", "rate")
+            base = _converged(partial(_node_set, m), t_red, "rate", "rate")
             doubled = _node_set(m, t_red, refine=1).rate_at(t_red)
             assert doubled == pytest.approx(base, rel=1e-9, abs=1e-30)
 

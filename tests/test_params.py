@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -60,6 +61,15 @@ class TestDefaultConfig:
             default_config(dimension=2, a_B=11e-9, a_z=100e-9)
         with pytest.warns(RegimeWarning):
             default_config(dimension=1, a_B=11e-9, a_perp=100e-9)
+
+    def test_warning_names_the_caller(self):
+        # not the dataclass-generated __init__ ('<string>') nor this package
+        quasi_2d = default_config(dimension=2)
+        with pytest.warns(RegimeWarning) as built:
+            default_config(dimension=2, a_B=11e-9)
+        with pytest.warns(RegimeWarning) as replaced:
+            dataclasses.replace(quasi_2d, a_B=11e-9)
+        assert [r.filename for r in (*built, *replaced)] == [__file__, __file__]
 
 
 class TestDerivedCouplings:
