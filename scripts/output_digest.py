@@ -11,6 +11,8 @@ Groups:
   measure    measure and scan on the 30 draws of tests/conftest.py::random_config
              (seed 20120731): N, N_blp, intervals, diagnostics, trace gamma
              bytes, rel_tol, cells, horizon
+  pointwise  rate and decoherence on the same 30 draws at POINTWISE_T0 (0.3 to
+             1420 t0)
   traces     rate and Gamma traces (2000 points) at the horizon cap of each
              dimension, free gas and default coupling
   toy        toy_critical_s at omega_c 1 and 10
@@ -44,10 +46,12 @@ from becqubit import (
     cli,
     build_decoherence_trace,
     build_rate_trace,
+    decoherence,
     default_config,
     find_crossover,
     measure,
     model_from_config,
+    rate,
     rate_from_spectrum,
     scan,
     toy_critical_s,
@@ -61,6 +65,7 @@ from conftest import random_config  # noqa: E402
 
 N_DRAWS = 30
 SEED = 20120731  # the seed of the tests' rng fixture
+POINTWISE_T0 = (0.3, 7.0, 90.0, 400.0, 710.0, 1420.0)
 
 CLI_CALLS = [
     ["rate"],
@@ -125,11 +130,16 @@ def measure_and_scan(d: Digest, config):
     d.add((sc.trace.rel_tol, sc.cells, sc.horizon, sc.horizon_converged))
 
 
+def pointwise(d: Digest, model, t_t0: float):
+    t = t_t0 * model.t0
+    d.add((rate(model, t), decoherence(model, t)))
+
+
 def traces(d: Digest, model):
     t_max = HORIZON_CAPS[model.dimension] * model.t0
-    rate = build_rate_trace(model, t_max)
-    d.add(rate.gamma)
-    d.add(rate.rel_tol)
+    trace = build_rate_trace(model, t_max)
+    d.add(trace.gamma)
+    d.add(trace.rel_tol)
     d.add(build_decoherence_trace(model, t_max).Gamma)
 
 
@@ -169,6 +179,13 @@ def main() -> int:
     rng = np.random.default_rng(SEED)
     for _ in range(N_DRAWS):
         d.run(measure_and_scan, random_config(rng))
+
+    d = groups["pointwise"] = Digest()
+    rng = np.random.default_rng(SEED)
+    for _ in range(N_DRAWS):
+        model = model_from_config(random_config(rng))
+        for t_t0 in POINTWISE_T0:
+            d.run(pointwise, model, t_t0)
 
     d = groups["traces"] = Digest()
     for dimension in (1, 2, 3):

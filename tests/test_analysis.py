@@ -148,7 +148,7 @@ class TestToyModel:
             toy_rate_trace(ToyModel(s=2.5, omega_c=1.0), 10.0)
         assert info.value.achieved == pytest.approx(1e-6, rel=1e-2)
 
-    @pytest.mark.parametrize("n_points", [2, 3, 10])
+    @pytest.mark.parametrize("n_points", [2, 3, 7, 10])
     def test_short_trace_passes_spot_check(self, n_points):
         # at the CLI window of 64/omega_c the coarse grid puts every spot where
         # the true rate is below 1e-12 of the envelope bound, and both the

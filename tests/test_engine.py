@@ -34,7 +34,7 @@ from becqubit import (
 import becqubit
 from becqubit.constants import A_RB, HBAR
 from becqubit.dynamics import HORIZON_CAPS
-from becqubit.engine import RATE_RTOL, _converged, _node_set, _NodeSet
+from becqubit.engine import GL_NODES, QMAX, RATE_RTOL, _NODES, _converged, _energy_reduced, _node_set, _NodeSet
 from conftest import random_config
 
 
@@ -176,6 +176,40 @@ class TestRate:
             base = _converged(partial(_node_set, m), t_red, "rate", "rate")
             doubled = _node_set(m, t_red, refine=1).rate_at(t_red)
             assert doubled == pytest.approx(base, rel=1e-9, abs=1e-30)
+
+    @pytest.mark.parametrize("evaluate", [_NodeSet.rate_at, _NodeSet.gamma_at])
+    def test_late_time_doubling_invariance(self, rng, evaluate):
+        # at the horizon caps and beyond, the unrefined panels are already
+        # converged: one doubling moves the value by at most the tolerance
+        kind = "rate" if evaluate is _NodeSet.rate_at else "gamma"
+        for _ in range(4):
+            m = model_from_config(random_config(rng))
+            for s in (400.0, 710.0, 1420.0):
+                base, doubled = (_node_set(m, s, refine) for refine in (0, 1))
+                v0, v1 = evaluate(base, s), evaluate(doubled, s)
+                assert abs(v1 - v0) <= max(RATE_RTOL * abs(v1), base.floor(kind))
+
+    def test_default_3d_node_set_size(self, default_model):
+        # panels at equal steps of the phase need half the nodes of uniform
+        # panels sized by the slope at QMAX (130 608 and 231 648)
+        assert len(_node_set(default_model, 400.0).energy) <= 66_000
+        assert len(_node_set(default_model, 710.0).energy) <= 116_000
+
+    def test_panels_span_at_most_half_an_oscillation(self, rng):
+        # every panel spans at most pi of the phase E(q) t + (2 ell + 2) q; the
+        # edges come from a linear table of the phase, which moves them by a
+        # few 1e-5 rad of phase at 1420 t0
+        for i in range(6):
+            m = model_from_config(random_config(rng) if i else default_config())
+            for s in (0.3, 7.0, 400.0, 1420.0):
+                E = _node_set(m, s).energy.reshape(-1, GL_NODES)
+                # invert E(q) = sqrt(h (h + u)), h = q^2 / 2, at the first and last node of each panel
+                q = np.sqrt(-m.u_tilde + np.sqrt(m.u_tilde**2 + 4.0 * E[:, [0, -1]] ** 2))
+                mid, half = q.mean(axis=1), (q[:, 1] - q[:, 0]) / (2.0 * _NODES[-1])
+                edges = np.append(mid - half, mid[-1] + half[-1])
+                phase = _energy_reduced(edges, m.u_tilde) * s + (2.0 * m.ell + 2.0) * edges
+                assert edges[-1] == pytest.approx(QMAX, rel=1e-12)
+                assert np.diff(phase).max() <= math.pi + 1e-4
 
     def test_prefactor_scaling(self, rng):
         # a_AB -> c a_AB scales gamma by c^2 and preserves the sign pattern
