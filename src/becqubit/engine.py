@@ -16,7 +16,7 @@ is below e^-32 ~ 1.3e-14 of its peak, negligible against RATE_RTOL.
 Traces on a uniform time grid t_j = j dt integrate in the energy variable,
 gamma(t) = int J(omega) sin(omega t) domega, on the node set of
 rate_from_spectrum at the end of the window (_spectral_node_set).  Its panels
-are the graded head of _graded_edges, summed directly, and uniform panels of
+are the graded head of _omega_nodes, summed directly, and uniform panels of
 width h, on which node k of panel p sits at omega_k + p h: for each k the sum
 over p is a chirp-z transform in exp(i h dt), evaluated for all 16 node
 indices at once by one FFT convolution (_uniform_transform, Bluestein).
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import j0
 
 from .constants import HBAR
 from .params import ReducedModel
@@ -43,7 +42,7 @@ QMAX = 8.0
 RATE_RTOL = 1e-9
 GL_NODES = 16
 MAX_REFINE = 8
-GRADED_LEVELS = 40  # the first of _graded_edges' panels is split down to 2^-40 of its width
+GRADED_LEVELS = 40  # _omega_nodes' first panel is split down to 2^-40 of its width, _node_set's at most
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GL_NODES)
 
@@ -81,6 +80,7 @@ def angular_kernel(dimension: int, x):
     if dimension == 1:
         out = np.sin(x) ** 2
     elif dimension == 2:
+        from scipy.special import j0  # here, not at the top: scipy is most of the package's import time
         y = 2.0 * x
         out = 0.5 * (1.0 - j0(y))
         small = y < 1e-2
@@ -122,11 +122,10 @@ def _gauss_legendre(edges: np.ndarray):
     return nodes, weights
 
 
-def _graded_edges(upper: float, n_panels: int) -> np.ndarray:
-    """n_panels uniform panels on [0, upper], the first graded geometrically toward 0
-    (down to 2^-GRADED_LEVELS of its width) for integrands that are not smooth at 0."""
-    edges = np.linspace(0.0, upper, n_panels + 1)
-    graded = edges[1] * 0.5 ** np.arange(GRADED_LEVELS, -1, -1.0)
+def _graded(edges: np.ndarray, levels: int) -> np.ndarray:
+    """edges with the first panel graded geometrically toward 0 (down to 2^-levels
+    of its width) for integrands that are not smooth at 0 or vary faster there."""
+    graded = edges[1] * 0.5 ** np.arange(levels, -1, -1.0)
     return np.concatenate(([0.0], graded[:-1], edges[1:]))
 
 
@@ -169,11 +168,16 @@ class _NodeSet:
 
 def _node_set(model: ReducedModel, t_red: float, refine: int = 0) -> _NodeSet:
     """Nodes on [0, QMAX] for t' <= t_red: panel edges at equal steps, at most pi
-    (half an oscillation), of the phase E(q) t_red + (2 ell + 2) q, read off a table."""
+    (half an oscillation), of the phase E(q) t_red + (2 ell + 2) q, read off a table;
+    the first panel graded until its innermost part is no wider than the distance
+    sqrt(2 u_tilde) of the envelope's poles from the real axis."""
     q = np.linspace(0.0, QMAX, 20001)
     phase = _energy_reduced(q, model.u_tilde) * t_red + (2.0 * model.ell + 2.0) * q
     n_p = max(32, math.ceil(phase[-1] / math.pi)) << refine
-    q, w = _gauss_legendre(np.interp(np.linspace(0.0, phase[-1], n_p + 1), phase, q))
+    edges = np.interp(np.linspace(0.0, phase[-1], n_p + 1), phase, q)
+    pole = math.sqrt(2.0 * model.u_tilde)
+    levels = min(GRADED_LEVELS, max(0, math.ceil(math.log2(edges[1] / pole)))) if pole else 0
+    q, w = _gauss_legendre(_graded(edges, levels))
     return _NodeSet(coeff=w * _envelope(model, q), energy=_energy_reduced(q, model.u_tilde))
 
 
@@ -245,7 +249,7 @@ class DecoherenceTrace:
 
 def _uniform_transform(nodes: _NodeSet, times: np.ndarray, kind: str) -> np.ndarray:
     """The integral on the uniform grid times (times[0] = 0) over nodes laid out by
-    _graded_edges: kind 'rate' sums coeff sin(E t), kind 'gamma' coeff 2 sin^2(E t/2)/E.
+    _omega_nodes: kind 'rate' sums coeff sin(E t), kind 'gamma' coeff 2 sin^2(E t/2)/E.
 
     The graded head is summed directly.  On the uniform panels node k of panel p
     is at E_k + p h, so sum_p c_pk exp(i p h t_j) is a chirp-z transform in
@@ -439,7 +443,7 @@ def _omega_nodes(density, omega_max: float, t: float, refine: int) -> _NodeSet:
     panels against the oscillation of sin(omega t) plus 128 for the density itself,
     graded at 0, where the density need not be smooth."""
     n_p = (int(math.ceil(omega_max * t / math.pi)) + 128) << refine
-    w, weights = _gauss_legendre(_graded_edges(omega_max, n_p))
+    w, weights = _gauss_legendre(_graded(np.linspace(0.0, omega_max, n_p + 1), GRADED_LEVELS))
     return _NodeSet(coeff=weights * density(w), energy=w)
 
 
