@@ -2,8 +2,11 @@
 
 The Markovian/non-Markovian boundary is found by bisection on a_B, classifying
 each candidate by whether the rate dips below the shared noise guard anywhere
-inside the scan horizon.  Classification is sign-exact, so the boundary does
-not depend on the rate prefactor at all.
+inside one fixed window, by default the horizon cap of the dimension.  t0 does
+not depend on a_B, so the same window serves every candidate, and no horizon
+probe runs.  Classification is sign-exact, so the boundary does not depend on
+the rate prefactor at all; it does depend on the window (a_crit ~ 1/T), which
+CrossoverResult.horizon_limited flags.
 """
 
 from __future__ import annotations
@@ -65,13 +68,21 @@ def _bisect_boundary(is_nm, lo: float, hi: float, tol: float, what: str):
 
 @dataclass(frozen=True)
 class CrossoverResult:
-    """Critical scattering length with its final bisection bracket."""
+    """Critical scattering length with its final bisection bracket.
+
+    Every candidate is classified on the same window [0, t_max].
+    horizon_limited is True when the deepest grid point of gamma at the
+    non-Markovian end of the bracket is the window's last one: the dip is
+    still deepening there, so a longer window moves a_crit down (a_crit ~ 1/T).
+    """
 
     dimension: int
     a_crit: float  # meters
     a_crit_over_aRb: float
     bracket: tuple[float, float]  # meters, (Markovian side, NonMarkovian side)
     evaluations: int
+    t_max: float  # seconds, the classification window
+    horizon_limited: bool
 
     def __post_init__(self):
         lo, hi = self.bracket
@@ -84,28 +95,41 @@ def find_crossover(
     config: PhysicalConfig | None = None,
     tol: float = 1e-3 * A_RB,
     a_B_max: float | None = None,
+    t_max: float | None = None,
 ) -> CrossoverResult:
     """Bisect a_B in [0, a_B_max] for the Markovian/non-Markovian boundary.
 
-    a_B_max defaults to the diluteness cap of the dimension.  Raises
-    BracketError when both ends classify the same.
+    a_B_max defaults to the diluteness cap of the dimension, t_max (seconds)
+    to its horizon cap HORIZON_CAPS[dimension] * t0.  Each candidate is
+    classified by one dynamics.scan on [0, t_max].  Raises BracketError when
+    both ends classify the same.
     """
     if dimension not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if t_max is not None and not t_max > 0:
+        raise ValueError("t_max must be positive")
     base = config if config is not None else default_config()
     base = replace(base, dimension=dimension)
     if a_B_max is None:
         a_B_max = A_B_MAX_OVER_ARB[dimension] * A_RB
+    if t_max is None:
+        t_max = dynamics.HORIZON_CAPS[dimension] * model_from_config(base).t0
+    nm_scan = None  # the latest non-Markovian scan, which is the bracket's hi end
 
     def is_nm(a_B: float) -> bool:
+        nonlocal nm_scan
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cfg = replace(base, a_B=a_B)
-        return classify_config(cfg) == "NonMarkovian"
+        sc = dynamics.scan(model_from_config(cfg), t_max)
+        if sc.cells:
+            nm_scan = sc
+        return bool(sc.cells)
 
     lo, hi, evaluations = _bisect_boundary(is_nm, 0.0, a_B_max, tol, f"[0, {a_B_max:.3e} m]")
+    gamma = nm_scan.trace.gamma
     a_crit = 0.5 * (lo + hi)
     return CrossoverResult(
         dimension=dimension,
@@ -113,6 +137,8 @@ def find_crossover(
         a_crit_over_aRb=a_crit / A_RB,
         bracket=(lo, hi),
         evaluations=evaluations,
+        t_max=t_max,
+        horizon_limited=bool(np.argmin(gamma) == len(gamma) - 1),
     )
 
 

@@ -150,7 +150,8 @@ def emit(args, config: PhysicalConfig | None, output: Output, t_start: float) ->
 
 
 def _window(args, model) -> float | None:
-    """The --t-max-t0 window in seconds, or None to leave it to the horizon policy."""
+    """The --t-max-t0 window in seconds, or None for the command's default: the
+    horizon policy, or for crossover the cap of the dimension."""
     return None if args.t_max_t0 is None else args.t_max_t0 * model.t0
 
 
@@ -197,10 +198,12 @@ def cmd_measure(args, config) -> Output:
 def cmd_crossover(args, config) -> Output:
     tol = args.tol_arb * A_RB
     a_B_max = args.a_b_max_arb * A_RB if args.a_b_max_arb is not None else None
-    result = analysis.find_crossover(config.dimension, config, tol=tol, a_B_max=a_B_max)
+    t_max = _window(args, model_from_config(config))
+    result = analysis.find_crossover(config.dimension, config, tol=tol, a_B_max=a_B_max, t_max=t_max)
     row = [result.dimension, result.a_crit, result.a_crit_over_aRb, *result.bracket, result.evaluations]
+    t_max_t0 = args.t_max_t0 if args.t_max_t0 is not None else dynamics.HORIZON_CAPS[config.dimension]
     return Output(
-        {"tol_arb": args.tol_arb, "a_b_max_arb": args.a_b_max_arb},
+        {"tol_arb": args.tol_arb, "a_b_max_arb": args.a_b_max_arb, "t_max_t0": t_max_t0},
         ["dimension", "a_crit_m", "a_crit_over_aRb", "bracket_lo_m", "bracket_hi_m", "evaluations"],
         [row],
     )
@@ -301,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("crossover", cmd_crossover, help="critical scattering length by bisection")
     p.add_argument("--tol-arb", type=float, default=1e-3, help="bisection tolerance in a_Rb units")
     p.add_argument("--a-b-max-arb", type=float, help="override the bracket top (a_Rb units)")
+    p.add_argument("--t-max-t0", type=float, help="classification window in units of t0 (default: the cap)")
 
     p = add("sweep", cmd_sweep, help="N along an a_B or L grid")
     p.add_argument("--axis", choices=("a_B", "L"), required=True)

@@ -10,6 +10,8 @@ Classification and measurement share one scan: scan() fixes the window (the
 horizon policy below, or an explicit t_max), traces gamma on a uniform grid
 over it and keeps the negative cells deeper than the noise guard
 (negative_cells).  analysis.classify reads the cells; measure refines them.
+analysis.find_crossover scans every candidate on one explicit window, by
+default the cap HORIZON_CAPS[dimension] * t0, so it runs no horizon probe.
 
 Horizon policy: the scan window starts at HORIZON_START*t0 and doubles until
 the rate has decayed (max |gamma| over the last quarter below DECAY_FRACTION
@@ -270,7 +272,6 @@ def measure(
         "horizon": sc.horizon,
         "horizon_converged": sc.horizon_converged,
         "n_intervals": len(intervals),
-        "multiple_intervals": len(intervals) > 1,
         "gamma_exponents": exponents,
     }
     return NonMarkovianityResult(

@@ -433,11 +433,6 @@ def fit_exponent_values(omegas: np.ndarray, J: np.ndarray, window: tuple[float, 
     return float(slope)
 
 
-def fit_exponent(profile: SpectralProfile, window: tuple[float, float]) -> float:
-    """Power-law exponent of an existing profile over the given window."""
-    return fit_exponent_values(profile.omegas, profile.J, window)
-
-
 def _omega_nodes(density, omega_max: float, t: float, refine: int) -> _NodeSet:
     """Nodes of int density(omega) sin(omega t') domega on [0, omega_max] for t' <= t:
     panels against the oscillation of sin(omega t) plus 128 for the density itself,

@@ -18,9 +18,10 @@ from becqubit import (
     toy_rate,
     toy_rate_trace,
 )
-from becqubit import analysis
+from becqubit import analysis, dynamics, engine
 from becqubit.analysis import toy_is_nonmarkovian
 from becqubit.constants import A_RB
+from becqubit.dynamics import HORIZON_CAPS
 
 
 class TestClassify:
@@ -71,6 +72,68 @@ class TestCrossover:
         scaled_cfg = default_config(a_AB=10 * default_config().a_AB)
         scaled = find_crossover(3, scaled_cfg, tol=coarse)
         assert scaled.bracket == base.bracket
+
+
+# (bracket, evaluations) of find_crossover at the default tol, recorded while it
+# still classified each candidate on the horizon policy's window
+POLICY_CROSSOVERS = {
+    1: ((9.6787109375e-10, 9.73046875e-10), 12),
+    2: ((6.41796875e-10, 6.4697265625e-10), 13),
+    3: ((1.7856445312499997e-10, 1.8244628906249998e-10), 14),
+}
+
+
+class TestCrossoverWindow:
+    def test_defaults_match_the_policy_bisection(self, crossovers):
+        for dim, res in crossovers.items():
+            assert (res.bracket, res.evaluations) == POLICY_CROSSOVERS[dim]
+
+    @pytest.mark.parametrize(
+        "override, bracket",
+        [
+            ({"L": 50e-9}, (1.7856445312499997e-10, 1.8244628906249998e-10)),
+            ({"L": 100e-9}, (1.7856445312499997e-10, 1.8244628906249998e-10)),
+            ({"tau": 30e-9}, (4.0759277343749996e-10, 4.11474609375e-10)),
+            ({"tau": 60e-9}, (1.00927734375e-10, 1.0480957031249999e-10)),
+        ],
+    )
+    def test_3d_variants_match_the_policy_bisection(self, override, bracket):
+        res = find_crossover(3, default_config(**override))
+        assert (res.bracket, res.evaluations) == (bracket, 14)
+
+    def test_default_window_is_the_cap(self, crossovers):
+        for dim, res in crossovers.items():
+            t0 = model_from_config(default_config(dimension=dim)).t0
+            assert res.t_max == HORIZON_CAPS[dim] * t0
+
+    def test_horizon_limited_in_every_dimension(self, crossovers):
+        # the dip at the non-Markovian end is deepest at the window's last point
+        assert all(res.horizon_limited for res in crossovers.values())
+
+    def test_half_window_doubles_a_crit(self, crossovers):
+        # a_crit * T is constant: at 355 t0 the 3D crossover is twice the cap value
+        t0 = model_from_config(default_config()).t0
+        half = find_crossover(3, t_max=355.0 * t0)
+        assert half.t_max == 355.0 * t0
+        assert half.a_crit == pytest.approx(2.0 * crossovers[3].a_crit, rel=0.03)
+
+    def test_one_spot_checked_scan_per_evaluation(self, monkeypatch):
+        ends = []
+        real = engine._spot_check
+        monkeypatch.setattr(engine, "_spot_check", lambda *a: ends.append(a[1][-1]) or real(*a))
+
+        def no_probes(model):
+            raise AssertionError("find_crossover ran the horizon policy")
+
+        monkeypatch.setattr(dynamics, "choose_horizon", no_probes)
+        res = find_crossover(3, tol=2e-2 * A_RB)
+        assert len(ends) == res.evaluations
+        assert set(ends) == {res.t_max}
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0])
+    def test_window_must_be_positive(self, t_max):
+        with pytest.raises(ValueError, match="t_max"):
+            find_crossover(3, t_max=t_max)
 
 
 class TestSweep:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from becqubit import cli, default_config, measure, model_from_config
+from becqubit import cli, default_config, find_crossover, measure, model_from_config
 from becqubit.constants import A_RB
 from becqubit.params import _CONFIG_KEYS
 
@@ -114,6 +114,27 @@ class TestCrossoverCommand:
         value = dict(zip(header, rows[0]))
         assert 0.02 < float(value["a_crit_over_aRb"]) < 0.05
         assert int(value["dimension"]) == 3
+
+    def test_header_records_the_cap_window(self, capsys):
+        code, out, _ = run_cli(capsys, "crossover", "--tol-arb", "0.02")
+        assert code == 0
+        assert "# param.t_max_t0=710.0" in out.splitlines()
+
+    def test_explicit_window(self, capsys):
+        code, out, _ = run_cli(capsys, "crossover", "--tol-arb", "0.02", "--t-max-t0", "355")
+        assert code == 0
+        assert "# param.t_max_t0=355.0" in out.splitlines()
+        header, rows = parse_csv(out)
+        value = dict(zip(header, rows[0]))
+        t0 = model_from_config(default_config()).t0
+        direct = find_crossover(3, tol=0.02 * A_RB, t_max=355.0 * t0)
+        assert float(value["a_crit_m"]) == pytest.approx(direct.a_crit, rel=1e-11)
+        assert int(value["evaluations"]) == direct.evaluations
+
+    def test_zero_window_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "crossover", "--t-max-t0", "0")
+        assert code == 2
+        assert "t_max" in err
 
 
 class TestSweepCommand:
