@@ -108,8 +108,6 @@ def find_crossover(
         raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if t_max is not None and not t_max > 0:
-        raise ValueError("t_max must be positive")
     base = config if config is not None else default_config()
     base = replace(base, dimension=dimension)
     if a_B_max is None:
