@@ -24,10 +24,14 @@ Groups:
   cli        stdout, stderr and exit code of cli.main on CLI_CALLS: every
              subcommand but toy at cheap settings, with and without an explicit
              window, and the failures that exit 2 and 4
-  cli_toy    the same for the toy calls in CLI_TOY_CALLS
+  cli_rows   the same calls with the header comment block (manifest digest
+             and fields) cut from stdout; the column line, rows and trailer
+             stay.  A change that only touches the manifest shows on cli alone.
+  cli_toy    the same as cli for the toy calls in CLI_TOY_CALLS
 
-The model groups (crossover to spectral, cli) and the toy groups (toy_spectral,
-cli_toy) are apart, so a change to the toy's quadrature shows on its own lines.
+The model groups (crossover to spectral, cli, cli_rows) and the toy groups
+(toy_spectral, cli_toy) are apart, so a change to the toy's quadrature shows
+on its own lines.
 
 A point that raises contributes its exception type and message instead; each
 line ends with how many did.
@@ -36,6 +40,7 @@ line ends with how many did.
 import contextlib
 import hashlib
 import io
+import itertools
 import sys
 from pathlib import Path
 
@@ -161,11 +166,14 @@ def spectral_point(d: Digest, model, t_t0: float):
     d.add(rate_from_spectrum(model, t_t0 * model.t0))
 
 
-def cli_call(d: Digest, argv: list[str]):
+def cli_call(d: Digest, argv: list[str], header: bool = True):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    d.add((argv, out.getvalue(), err.getvalue(), code))
+    lines = out.getvalue().splitlines(keepends=True)
+    if not header:
+        lines = itertools.dropwhile(lambda line: line.startswith("#"), lines)
+    d.add((argv, "".join(lines), err.getvalue(), code))
 
 
 def main() -> int:
@@ -212,6 +220,10 @@ def main() -> int:
     d = groups["cli"] = Digest()
     for argv in CLI_CALLS:
         d.run(cli_call, argv)
+
+    d = groups["cli_rows"] = Digest()
+    for argv in CLI_CALLS:
+        d.run(cli_call, argv, False)
 
     d = groups["cli_toy"] = Digest()
     for argv in CLI_TOY_CALLS:

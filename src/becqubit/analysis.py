@@ -48,22 +48,18 @@ def classify_config(config: PhysicalConfig) -> Classification:
 
 def _bisect_boundary(is_nm, lo: float, hi: float, tol: float, what: str):
     """(lo, hi, classifications made) after bisecting the Markovian/non-Markovian
-    boundary to width tol; BracketError unless only hi is non-Markovian."""
+    boundary to width tol, or to adjacent floats; BracketError unless only hi is
+    non-Markovian."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     nm_lo, nm_hi = is_nm(lo), is_nm(hi)
     if nm_lo or not nm_hi:
         raise BracketError(
             f"no Markovian/non-Markovian sign change on {what} "
             f"(ends classify {nm_lo}, {nm_hi})"
         )
-    evaluations = 2
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        evaluations += 1
-        if is_nm(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi, evaluations
+    lo, hi, halvings = dynamics._bisect(is_nm, lo, hi, lambda lo, hi: hi - lo <= tol)
+    return lo, hi, 2 + halvings
 
 
 @dataclass(frozen=True)
@@ -101,13 +97,13 @@ def find_crossover(
 
     a_B_max defaults to the diluteness cap of the dimension, t_max (seconds)
     to its horizon cap HORIZON_CAPS[dimension] * t0.  Each candidate is
-    classified by one dynamics.scan on [0, t_max].  Raises BracketError when
-    both ends classify the same.
+    classified by one dynamics.scan on [0, t_max].  The bracket ends at width
+    tol, or at adjacent floats if tol is smaller than their spacing.  Raises
+    ValueError unless 0 < tol < inf, BracketError when both ends classify the
+    same.
     """
     if dimension not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     base = config if config is not None else default_config()
     base = replace(base, dimension=dimension)
     if a_B_max is None:
@@ -240,7 +236,8 @@ def toy_is_nonmarkovian(toy: ToyModel) -> bool:
 
 
 def toy_critical_s(omega_c: float, tol: float = 1e-2) -> float:
-    """Bisect the Ohmicity exponent for the Markovian boundary on s in [1, 3]."""
+    """Bisect the Ohmicity exponent for the Markovian boundary on s in [1, 3];
+    ValueError unless 1e-3 <= tol < inf."""
     if tol < 1e-3:
         raise ValueError("tol below 1e-3 is not supported")
     if omega_c <= 0:

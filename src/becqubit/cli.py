@@ -13,6 +13,7 @@ Exit codes: 0 ok, 2 invalid config/usage, 3 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -26,8 +27,6 @@ from .constants import A_RB
 from .params import (
     _CONFIG_KEYS,
     PhysicalConfig,
-    apply_overrides,
-    config_items,
     config_overrides,
     default_config,
     model_from_config,
@@ -71,7 +70,7 @@ def _resolve_config(args) -> PhysicalConfig:
     overrides = parse_config_file(args.config) if args.config else {}
     flags = [(_flag(key), key, getattr(args, key)) for key in _CONFIG_KEYS if getattr(args, key) is not None]
     overrides.update(config_overrides(flags))
-    return apply_overrides(default_config(), overrides)
+    return default_config(**overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +90,7 @@ def build_manifest(command: str, config: PhysicalConfig | None, parameters: dict
     return {
         "command": command,
         "version": __version__,
-        "config": {k: v for k, v in config_items(config)} if config is not None else {},
+        "config": dataclasses.asdict(config) if config is not None else {},
         "parameters": parameters,
         "tolerances": tolerances,
     }

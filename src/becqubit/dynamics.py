@@ -185,19 +185,22 @@ def scan(model: ReducedModel, t_max: float | None = None, grid_size: int = DEFAU
     return Scan(trace, tuple(negative_cells(trace.gamma)), horizon, horizon_converged)
 
 
-def _bisect_root(fn, t_lo: float, t_hi: float, rel_tol: float) -> float:
-    """Zero crossing of fn inside [t_lo, t_hi] to relative time tolerance."""
-    f_lo = fn(t_lo)
-    for _ in range(80):
-        if t_hi - t_lo <= rel_tol * max(abs(t_hi), 1e-300):
+def _bisect(upper, lo: float, hi: float, done) -> tuple[float, float, int]:
+    """(lo, hi, halvings): [lo, hi] halved, keeping upper(hi) true and upper(lo)
+    false, until done(lo, hi) or the midpoint is no longer strictly between them
+    (the floats have run out).  The one bisection loop: interval ends here, the
+    crossover in analysis."""
+    halvings = 0
+    while not done(lo, hi):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
             break
-        mid = 0.5 * (t_lo + t_hi)
-        f_mid = fn(mid)
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            t_lo, f_lo = mid, f_mid
+        halvings += 1
+        if upper(mid):
+            hi = mid
         else:
-            t_hi = mid
-    return 0.5 * (t_lo + t_hi)
+            lo = mid
+    return lo, hi, halvings
 
 
 def _intervals_from_cells(times, cells, refine_root) -> list[NegativeInterval]:
@@ -251,9 +254,11 @@ def measure(
 
     def refine(t_lo: float, t_hi: float) -> float:
         nodes = engine._node_set(model, t_hi / model.t0)
-        return _bisect_root(
-            lambda t: nodes.rate_at(t / model.t0), t_lo, t_hi, rel_tol=1e-10
-        )
+        negative = lambda t: nodes.rate_at(t / model.t0) < 0.0
+        lo_negative = negative(t_lo)
+        close = lambda lo, hi: hi - lo <= 1e-10 * max(abs(hi), 1e-300)
+        lo, hi, _ = _bisect(lambda t: negative(t) != lo_negative, t_lo, t_hi, close)
+        return 0.5 * (lo + hi)
 
     intervals = _intervals_from_cells(sc.trace.times, sc.cells, refine)
     exponents = [

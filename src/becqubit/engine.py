@@ -182,11 +182,11 @@ def _node_set(model: ReducedModel, t_red: float, refine: int = 0) -> _NodeSet:
 
 
 def _converged(node_set, s: float, kind: str, failure: str) -> float:
-    """The integral of kind 'rate' (rate_at) or 'gamma' (gamma_at) at time s >= 0,
+    """The integral of kind 'rate' (rate_at) or 'gamma' (gamma_at) at finite time s >= 0,
     refined by panel doubling over node_set(s, refine) to RATE_RTOL.  A change
     below the floor of the unrefined rule is cancellation noise and accepted."""
-    if s < 0:
-        raise ValueError("t must be >= 0")
+    if not 0.0 <= s < math.inf:
+        raise ValueError("t must be >= 0 and finite")
     if s == 0.0:
         return 0.0
     evaluate = _NodeSet.rate_at if kind == "rate" else _NodeSet.gamma_at
@@ -291,8 +291,8 @@ def _uniform_trace(node_set, reference, t_max: float, n_points: int, kind: str):
     """(times, values, spot-check tolerance) of kind 'rate' or 'gamma' on a
     uniform grid over [0, t_max]: the transform over the nodes node_set(t_max),
     spot-checked against the pointwise values reference(t)."""
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError("t_max must be positive" if t_max <= 0 else "t_max must be positive and finite")
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     times = np.linspace(0.0, t_max, n_points)

@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 from .constants import A_RB, ATOMIC_MASS_KG, BOHR_RADIUS, HBAR, MASS_NA23_U, MASS_RB87_U
 
@@ -52,7 +52,6 @@ class PhysicalConfig:
     L:         half the distance between the two wells (m)
     a_z:       axial confinement length for quasi-2D (m)
     a_perp:    transverse confinement length for quasi-1D (m)
-    lambda_lattice: optional lattice wavelength (m), metadata only
     """
 
     dimension: int
@@ -65,7 +64,6 @@ class PhysicalConfig:
     L: float
     a_z: float
     a_perp: float
-    lambda_lattice: float | None = None
 
     def __post_init__(self):
         if self.dimension not in (1, 2, 3):
@@ -76,8 +74,6 @@ class PhysicalConfig:
                 raise ValueError(f"{name} must be strictly positive, got {value}")
         if self.a_B < 0.0 or not math.isfinite(self.a_B):
             raise ValueError(f"a_B must be >= 0, got {self.a_B}")
-        if self.lambda_lattice is not None and not self.lambda_lattice > 0.0:
-            raise ValueError("lambda_lattice must be positive when given")
 
         # weak-interaction (Bogoliubov) regime: sqrt(a_B^3 n0) small
         gas_param = math.sqrt(self.a_B**3 * self.n0)
@@ -104,7 +100,7 @@ def default_config(**overrides) -> PhysicalConfig:
     """Reference scenario: 23Na impurity in a 87Rb condensate.
 
     n0 = 1e20 m^-3, tau = 45 nm, L = 75 nm, a_AB = 55 a0, a_B = a_Rb = 5.3 nm,
-    3D, confinement lengths 100 nm, lattice wavelength 600 nm.
+    3D, confinement lengths 100 nm.
     """
     base = dict(
         dimension=3,
@@ -117,7 +113,6 @@ def default_config(**overrides) -> PhysicalConfig:
         L=75e-9,
         a_z=100e-9,
         a_perp=100e-9,
-        lambda_lattice=600e-9,
     )
     base.update(overrides)
     return PhysicalConfig(**base)
@@ -132,7 +127,6 @@ class DerivedCouplings:
     constant is attached.
     """
 
-    dimension: int
     g_AB: float
     g_B: float
     n_D: float
@@ -169,7 +163,7 @@ def derive_couplings(config: PhysicalConfig) -> DerivedCouplings:
         raise ValueError(f"invalid dimension {config.dimension}")
     u = 2.0 * g_B * n_D
     A = 4.0 * g_AB**2 * n_D / HBAR
-    return DerivedCouplings(dimension=config.dimension, g_AB=g_AB, g_B=g_B, n_D=n_D, u=u, A=A)
+    return DerivedCouplings(g_AB=g_AB, g_B=g_B, n_D=n_D, u=u, A=A)
 
 
 # solid-angle measure constant S_D/(2 pi)^D; the 1D line counts both directions
@@ -247,7 +241,6 @@ _CONFIG_KEYS = {
     "L_nm": ("L", 1e-9),
     "a_z_nm": ("a_z", 1e-9),
     "a_perp_nm": ("a_perp", 1e-9),
-    "lambda_lattice_nm": ("lambda_lattice", 1e-9),
 }
 
 
@@ -304,13 +297,3 @@ def config_overrides(entries) -> dict:
 def parse_config_file(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read(), source=str(path))
-
-
-def apply_overrides(config: PhysicalConfig, overrides: dict) -> PhysicalConfig:
-    """Return a new config with the given SI field overrides applied."""
-    return replace(config, **overrides) if overrides else config
-
-
-def config_items(config: PhysicalConfig) -> list[tuple[str, object]]:
-    """All fields as (name, SI value) pairs in declaration order."""
-    return [(f.name, getattr(config, f.name)) for f in fields(config)]

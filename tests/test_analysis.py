@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,8 +55,26 @@ class TestCrossover:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             find_crossover(4)
-        with pytest.raises(ValueError):
-            find_crossover(3, tol=-1.0)
+        for tol in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol"):
+                find_crossover(3, tol=tol)
+
+    def test_tiny_tol_ends_at_adjacent_floats(self, monkeypatch):
+        # a cheap classifier in place of the scan: non-Markovian from 0.034 a_Rb up
+        u_crit = model_from_config(default_config(a_B=0.034 * A_RB)).u_tilde
+        calls = []
+
+        def fake_scan(model, t_max):
+            calls.append(model)
+            cells = ((1, 2),) if model.u_tilde >= u_crit else ()
+            return SimpleNamespace(cells=cells, trace=SimpleNamespace(gamma=np.array([0.0, -1.0])))
+
+        monkeypatch.setattr(dynamics, "scan", fake_scan)
+        res = find_crossover(3, tol=1e-20 * A_RB)
+        lo, hi = res.bracket
+        assert hi == np.nextafter(lo, math.inf)
+        assert res.evaluations == len(calls) < 1100
+        assert res.a_crit_over_aRb == pytest.approx(0.034, rel=1e-12)
 
     def test_result_contract(self, crossovers):
         for dim, res in crossovers.items():
@@ -261,3 +280,6 @@ class TestToyModel:
             toy_critical_s(1.0, tol=1e-4)
         with pytest.raises(ValueError):
             toy_critical_s(-1.0)
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol"):
+                toy_critical_s(1.0, tol=tol)

@@ -235,6 +235,13 @@ class TestConfigHandling:
         assert code == 2
         assert "unknown key" in err
 
+    def test_lattice_key_is_unknown(self, capsys, tmp_path):
+        cfg = tmp_path / "lattice.cfg"
+        cfg.write_text("lambda_lattice_nm=532\n")
+        code, _, err = run_cli(capsys, "measure", "--config", str(cfg))
+        assert code == 2
+        assert "unknown key 'lambda_lattice_nm'" in err
+
     def test_conflicting_length_flags_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "rate", "--a-b-nm", "5.3", "--a-b-over-arb", "1.0")
         assert code == 2
@@ -265,7 +272,6 @@ PARITY_VALUES = {
     "L_nm": "80",
     "a_z_nm": "90",
     "a_perp_nm": "95",
-    "lambda_lattice_nm": "532",
 }
 
 
@@ -287,6 +293,7 @@ class TestConfigFlags:
             ["rate", "--seed", "5"],
             ["toy", "--dimension", "2"],
             ["toy", "--config", "/nonexistent.cfg"],
+            ["rate", "--lambda-lattice-nm", "532"],
         ],
     )
     def test_options_nothing_reads_are_usage_errors(self, capsys, argv):
@@ -315,6 +322,20 @@ class TestConfigFlags:
         code, _, err = run_cli(capsys, command, "--t-max-t0", "0")
         assert code == 2
         assert "t_max must be positive" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("command", ["rate", "decoherence", "measure", "crossover", "verify-pairs"])
+    def test_non_finite_window_exit_2(self, capsys, command, value):
+        code, _, err = run_cli(capsys, command, "--t-max-t0", value)
+        assert code == 2
+        assert "t_max must be positive" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("argv", [["crossover", "--tol-arb"], ["toy", "--critical", "--tol"]])
+    def test_non_finite_tol_exit_2(self, capsys, argv, value):
+        code, _, err = run_cli(capsys, *argv, value)
+        assert code == 2
+        assert "tol must be positive and finite" in err
 
 
 class TestConvergenceExit:

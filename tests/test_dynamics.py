@@ -12,6 +12,7 @@ from becqubit import (
     build_rate_trace,
     choose_horizon,
     classify,
+    decoherence,
     default_config,
     evolve,
     information_flux,
@@ -25,7 +26,7 @@ from becqubit import engine
 from becqubit.constants import A_RB
 from becqubit.dynamics import (
     UndefinedFluxError,
-    _bisect_root,
+    _bisect,
     _intervals_from_cells,
     negative_cells,
     pair_distance,
@@ -188,12 +189,31 @@ class TestNegativeIntervals:
     def test_synthetic_sine_interval(self):
         times = np.linspace(0.0, 2.0 * math.pi, 2000)
         cells = negative_cells(np.sin(times))
-        ivs = _intervals_from_cells(
-            times, cells, lambda lo, hi: _bisect_root(math.sin, lo, hi, rel_tol=1e-10)
-        )
+
+        def refine(lo, hi):
+            lo_negative = math.sin(lo) < 0.0
+            upper = lambda t: (math.sin(t) < 0.0) != lo_negative
+            lo, hi, _ = _bisect(upper, lo, hi, lambda lo, hi: hi - lo <= 1e-10 * abs(hi))
+            return 0.5 * (lo + hi)
+
+        ivs = _intervals_from_cells(times, cells, refine)
         assert len(ivs) == 1
         assert ivs[0].a == pytest.approx(math.pi, abs=1e-8)
         assert ivs[0].b == pytest.approx(2.0 * math.pi, abs=1e-8)
+
+    @pytest.mark.parametrize("boundary", [0.1, 0.0])
+    def test_bisect_ends_at_adjacent_floats(self, boundary):
+        # a stop test that never passes: the loop ends when the floats run out
+        calls = []
+
+        def upper(x):
+            calls.append(x)
+            return x > boundary
+
+        lo, hi, halvings = _bisect(upper, 0.0, 3.0, lambda lo, hi: False)
+        assert hi == np.nextafter(lo, math.inf)
+        assert lo <= boundary < hi
+        assert halvings == len(calls) < 1100
 
     def test_guard_suppresses_shallow_dips(self):
         # a dip of depth 1e-9 relative to the max is treated as noise
@@ -307,6 +327,27 @@ class TestMeasure:
         with pytest.raises(ValueError):
             # nonzero N with no intervals is inconsistent
             NonMarkovianityResult(N=0.5, N_blp=0.1, intervals=(), t_max_used=1.0)
+
+    @pytest.mark.parametrize(
+        "dimension, a_B_over_aRb, ends, exponents",
+        [
+            (3, 1.0, (8.189953871351275e-05, 0.0008934455283182085),
+             (0.014102736653044038, 0.013357798862466965)),
+            (2, 0.15, (0.0015999351300812759, 0.0019675286538349533),
+             (0.12243294002839561, 0.12224319704332408)),
+            (1, 0.3, (0.002401295744827445, 0.0039350573076699065),
+             (0.30451149081445217, 0.30014709865571904)),
+        ],
+    )
+    def test_interval_ends_pinned(self, dimension, a_B_over_aRb, ends, exponents):
+        # bit-level anchors: the root bisection's midpoints and stop test are fixed.
+        # The exponents are decoherence at exactly those ends; their last bits
+        # follow the BLAS thread count of the node sums, hence rel=1e-12 there.
+        model = model_from_config(default_config(dimension=dimension, a_B=a_B_over_aRb * A_RB))
+        res = measure(model)
+        assert [(iv.a, iv.b) for iv in res.intervals] == [ends]
+        assert res.diagnostics["gamma_exponents"] == [tuple(decoherence(model, t) for t in ends)]
+        assert res.diagnostics["gamma_exponents"][0] == pytest.approx(exponents, rel=1e-12)
 
     def test_explicit_horizon_recorded(self, default_model):
         res = measure(default_model, t_max=120.0 * default_model.t0)

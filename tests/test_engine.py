@@ -153,6 +153,15 @@ class TestRate:
         with pytest.raises(ValueError):
             toy_rate(ToyModel(s=2.0, omega_c=1.0), -1.0)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_time_rejected(self, default_model, t):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            rate(default_model, t)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            decoherence(default_model, t)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            toy_rate(ToyModel(s=2.0, omega_c=1.0), t)
+
     def test_free_gas_3d_rate_positive(self):
         # the free 3D gas only leaks information: gamma > 0 throughout
         m = model_from_config(default_config(a_B=0.0))
@@ -331,6 +340,12 @@ class TestTraces:
         for idx in (1, 1000, 1999):
             ref = pointwise(m, float(times[idx]))
             assert abs(values[idx] - ref) / max(abs(ref), floor) <= 100 * RATE_RTOL
+
+    @pytest.mark.parametrize("build", [build_rate_trace, build_decoherence_trace])
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan])
+    def test_non_finite_window_rejected(self, default_model, build, t_max):
+        with pytest.raises(ValueError, match="t_max must be positive"):
+            build(default_model, t_max)
 
     @pytest.mark.parametrize("build", [build_rate_trace, build_decoherence_trace])
     @pytest.mark.parametrize("n_points", [0, 1])

@@ -14,7 +14,7 @@ from becqubit import (
     reduce_model,
 )
 from becqubit.constants import A_RB, ATOMIC_MASS_KG, BOHR_RADIUS, HBAR
-from becqubit.params import apply_overrides, config_items, parse_config_text
+from becqubit.params import parse_config_text
 
 
 class TestDefaultConfig:
@@ -28,7 +28,6 @@ class TestDefaultConfig:
         assert cfg.dimension == 3
         assert cfg.m_B == pytest.approx(86.909 * ATOMIC_MASS_KG, rel=1e-12)
         assert cfg.m_A == pytest.approx(22.990 * ATOMIC_MASS_KG, rel=1e-12)
-        assert cfg.lambda_lattice == 600e-9
 
     def test_overrides(self):
         cfg = default_config(dimension=1, a_B=0.0)
@@ -190,8 +189,3 @@ class TestConfigFile:
         ov = parse_config_text("a_B_a0=100\na_AB_nm=2.9")
         assert ov["a_B"] == pytest.approx(100 * BOHR_RADIUS)
         assert ov["a_AB"] == pytest.approx(2.9e-9)
-
-    def test_apply_overrides_round_trip(self):
-        cfg = apply_overrides(default_config(), parse_config_text("tau_nm=50"))
-        assert cfg.tau == pytest.approx(50e-9)
-        assert dict(config_items(cfg))["L"] == 75e-9
