@@ -7,7 +7,9 @@ numbers are identical to the last bit.
   PYTHONPATH=src python3 scripts/output_digest.py
 
 Groups:
-  crossover  find_crossover in 1D/2D/3D: a_crit, bracket, evaluations
+  crossover  find_crossover in 1D/2D/3D and in 3D at L = 50/100 nm and
+             tau = 30/60 nm: a_crit, bracket, evaluations; the evaluations of
+             each run are also printed, after the digests
   measure    measure and scan on the 30 draws of tests/conftest.py::random_config
              (seed 20120731): N, N_blp, intervals, diagnostics, trace gamma
              bytes, rel_tol, cells, horizon
@@ -121,9 +123,13 @@ class Digest:
         return self._h.hexdigest()
 
 
-def crossover(d: Digest, dimension: int):
-    r = find_crossover(dimension)
+CROSSOVER_RUNS = [(1, {}), (2, {}), (3, {}), (3, {"L": 50e-9}), (3, {"L": 100e-9}), (3, {"tau": 30e-9}), (3, {"tau": 60e-9})]
+
+
+def crossover(d: Digest, dimension: int, overrides: dict, evaluations: list):
+    r = find_crossover(dimension, default_config(**overrides))
     d.add((r.dimension, r.a_crit, r.bracket, r.evaluations))
+    evaluations.append(r.evaluations)
 
 
 def measure_and_scan(d: Digest, config):
@@ -180,8 +186,9 @@ def main() -> int:
     groups = {}
 
     d = groups["crossover"] = Digest()
-    for dimension in (1, 2, 3):
-        d.run(crossover, dimension)
+    evaluations = []
+    for dimension, overrides in CROSSOVER_RUNS:
+        d.run(crossover, dimension, overrides, evaluations)
 
     d = groups["measure"] = Digest()
     rng = np.random.default_rng(SEED)
@@ -231,6 +238,8 @@ def main() -> int:
 
     for name, digest in groups.items():
         print(f"{name:<12} {digest.hexdigest()}  ({digest.raised} of {digest.points} points raised)")
+    runs = ", ".join(f"{dim}D " + (" ".join(f"{k}={v * 1e9:g} nm" for k, v in ov.items()) or "default") for dim, ov in CROSSOVER_RUNS)
+    print(f"crossover evaluations: {evaluations} ({runs})")
     return 0
 
 

@@ -4,8 +4,8 @@
 Runs `becqubit crossover` once per dimension and writes crossover_<D>d.csv,
 each with its manifest digest in the header and a .manifest.json sidecar.
 With default parameters this reproduces the reference values
-a_crit/a_Rb ~ 0.034 (3D), 0.122 (2D), 0.183 (1D) in about 8 s (2-core Intel
-Xeon, Python 3.11, numpy 2.4).
+a_crit/a_Rb ~ 0.034 (3D), 0.122 (2D), 0.183 (1D) in about 1.5 s, interpreter
+start-up included (2-core Intel Xeon, one BLAS thread, Python 3.11, numpy 2.4).
 """
 
 import argparse
@@ -17,7 +17,7 @@ from becqubit import cli
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--tol-arb", default="1e-3", help="bisection tolerance in units of a_Rb")
+    parser.add_argument("--tol-arb", default="1e-3", help="width of the a_crit bracket in units of a_Rb")
     parser.add_argument("--out-dir", default=".")
     args = parser.parse_args(argv)
 

@@ -1,12 +1,14 @@
 """Crossover location in the scattering length, parameter sweeps, toy spectrum.
 
-The Markovian/non-Markovian boundary is found by bisection on a_B, classifying
-each candidate by whether the rate dips below the shared noise guard anywhere
+The Markovian/non-Markovian boundary in a_B is bracketed by classifying each
+candidate by whether the rate dips below the shared noise guard anywhere
 inside one fixed window, by default the horizon cap of the dimension.  t0 does
 not depend on a_B, so the same window serves every candidate, and no horizon
 probe runs.  Classification is sign-exact, so the boundary does not depend on
 the rate prefactor at all; it does depend on the window (a_crit ~ 1/T), which
-CrossoverResult.horizon_limited flags.
+CrossoverResult.horizon_limited flags.  The search steps on that law: each
+non-Markovian scan's first time below the guard predicts the next candidate,
+with bisection as the safeguard.
 """
 
 from __future__ import annotations
@@ -46,30 +48,56 @@ def classify_config(config: PhysicalConfig) -> Classification:
     return classify(model_from_config(config))
 
 
-def _bisect_boundary(is_nm, lo: float, hi: float, tol: float, what: str):
-    """(lo, hi, classifications made) after bisecting the Markovian/non-Markovian
-    boundary to width tol, or to adjacent floats; BracketError unless only hi is
-    non-Markovian."""
+def _bisect_boundary(is_nm, lo: float, hi: float, tol: float, what: str, predict=None):
+    """(lo, hi, classifications made) after narrowing the Markovian/non-Markovian
+    boundary to width tol, or to adjacent floats.  hi is classified first, lo
+    only if the final bracket still ends there; BracketError unless hi alone
+    is non-Markovian.
+
+    Without predict every step tests the midpoint.  predict(hi) estimates the
+    boundary from the classification of hi.  An estimate within tol of an end
+    moves to tol from it, so one classification can close the bracket.  It is
+    tested when it lies strictly inside and the bracket it leaves is, on either
+    side, no wider than plain bisection's two halvings earlier; else the
+    midpoint is.  So at most two steps more than plain bisection are made.
+    """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    nm_lo, nm_hi = is_nm(lo), is_nm(hi)
-    if nm_lo or not nm_hi:
-        raise BracketError(
-            f"no Markovian/non-Markovian sign change on {what} "
-            f"(ends classify {nm_lo}, {nm_hi})"
-        )
-    lo, hi, halvings = dynamics._bisect(is_nm, lo, hi, lambda lo, hi: hi - lo <= tol)
-    return lo, hi, 2 + halvings
+    if not is_nm(hi):
+        raise BracketError(f"no Markovian/non-Markovian sign change on {what} (the upper end is Markovian)")
+    start, budget = lo, hi - lo  # halved per step: plain bisection's width after it
+
+    def propose(lo, hi):
+        nonlocal budget
+        budget *= 0.5
+        x = predict(hi)
+        if abs(hi - x) <= tol:  # one float inside, so that rounding cannot leave hi - x > tol
+            x = math.nextafter(hi - tol, hi)
+        elif abs(x - lo) <= tol:
+            x = math.nextafter(lo + tol, lo)
+        return x if 0.25 * max(x - lo, hi - x) <= budget else None
+
+    done = lambda lo, hi: hi - lo <= tol
+    lo, hi, steps = dynamics._bisect(is_nm, lo, hi, done, propose if predict else None)
+    evaluations = 1 + steps
+    if lo == start:
+        evaluations += 1
+        if is_nm(lo):
+            raise BracketError(f"no Markovian/non-Markovian sign change on {what} (the lower end is non-Markovian)")
+    return lo, hi, evaluations
 
 
 @dataclass(frozen=True)
 class CrossoverResult:
-    """Critical scattering length with its final bisection bracket.
+    """Critical scattering length with its final bracket.
 
     Every candidate is classified on the same window [0, t_max].
     horizon_limited is True when the deepest grid point of gamma at the
     non-Markovian end of the bracket is the window's last one: the dip is
     still deepening there, so a longer window moves a_crit down (a_crit ~ 1/T).
+    t_guard is the first grid time at which gamma at that end is below the
+    noise guard, the time the search steps on; t_guard/t_max near 1 means the
+    end is close to the crossover.
     """
 
     dimension: int
@@ -79,6 +107,7 @@ class CrossoverResult:
     evaluations: int
     t_max: float  # seconds, the classification window
     horizon_limited: bool
+    t_guard: float  # seconds
 
     def __post_init__(self):
         lo, hi = self.bracket
@@ -93,11 +122,16 @@ def find_crossover(
     a_B_max: float | None = None,
     t_max: float | None = None,
 ) -> CrossoverResult:
-    """Bisect a_B in [0, a_B_max] for the Markovian/non-Markovian boundary.
+    """Bracket the Markovian/non-Markovian boundary in a_B on [0, a_B_max].
 
     a_B_max defaults to the diluteness cap of the dimension, t_max (seconds)
     to its horizon cap HORIZON_CAPS[dimension] * t0.  Each candidate is
-    classified by one dynamics.scan on [0, t_max].  The bracket ends at width
+    classified by one dynamics.scan on [0, t_max].  a_crit T is constant: a
+    non-Markovian a_B whose gamma first falls below the noise guard at
+    t_guard is the crossover of the window t_guard.  So the next candidate is
+    hi * t_guard(hi) / t_max, safeguarded by bisection (_bisect_boundary);
+    at the defaults that takes 4 classifications.  a_B_max is classified
+    first, a_B = 0 only if the bracket reaches it.  The bracket ends at width
     tol, or at adjacent floats if tol is smaller than their spacing.  Raises
     ValueError unless 0 < tol < inf, BracketError when both ends classify the
     same.
@@ -122,7 +156,10 @@ def find_crossover(
             nm_scan = sc
         return bool(sc.cells)
 
-    lo, hi, evaluations = _bisect_boundary(is_nm, 0.0, a_B_max, tol, f"[0, {a_B_max:.3e} m]")
+    def predict(hi: float) -> float:  # nm_scan is the scan of hi
+        return hi * dynamics.guard_time(nm_scan.trace) / t_max
+
+    lo, hi, evaluations = _bisect_boundary(is_nm, 0.0, a_B_max, tol, f"[0, {a_B_max:.3e} m]", predict)
     gamma = nm_scan.trace.gamma
     a_crit = 0.5 * (lo + hi)
     return CrossoverResult(
@@ -133,6 +170,7 @@ def find_crossover(
         evaluations=evaluations,
         t_max=t_max,
         horizon_limited=bool(np.argmin(gamma) == len(gamma) - 1),
+        t_guard=dynamics.guard_time(nm_scan.trace),
     )
 
 

@@ -300,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("measure", cmd_measure, help="non-Markovianity measures and intervals")
     p.add_argument("--t-max-t0", type=float)
 
-    p = add("crossover", cmd_crossover, help="critical scattering length by bisection")
-    p.add_argument("--tol-arb", type=float, default=1e-3, help="bisection tolerance in a_Rb units")
+    p = add("crossover", cmd_crossover, help="critical scattering length, bracketed to a width")
+    p.add_argument("--tol-arb", type=float, default=1e-3, help="bracket width in a_Rb units")
     p.add_argument("--a-b-max-arb", type=float, help="override the bracket top (a_Rb units)")
     p.add_argument("--t-max-t0", type=float, help="classification window in units of t0 (default: the cap)")
 

@@ -148,19 +148,32 @@ def choose_horizon(model: ReducedModel) -> tuple[float, bool]:
         t_max = min(2.0 * t_max, cap)
 
 
+def _below_guard(values) -> np.ndarray:
+    """values < 0 deeper than the noise guard, NOISE_GUARD of max|values|."""
+    g = np.asarray(values)
+    return g < -NOISE_GUARD * np.abs(g).max()
+
+
 def negative_cells(values) -> list[tuple[int, int]]:
-    """Index ranges [k0, k1) of maximal grid runs with values < 0 deeper than
-    the noise guard, NOISE_GUARD of max|values|; shallower runs are noise."""
+    """Index ranges [k0, k1) of maximal grid runs with values < 0 that reach
+    below the noise guard; shallower runs are noise."""
     g = np.asarray(values)
     neg = g < 0
-    eps = NOISE_GUARD * np.abs(g).max()
+    deep = _below_guard(g)
     flips = np.flatnonzero(np.diff(neg.astype(np.int8)))
     bounds = np.concatenate(([0], flips + 1, [len(g)]))
     return [
         (int(k0), int(k1))
         for k0, k1 in zip(bounds[:-1], bounds[1:])
-        if neg[k0] and g[k0:k1].min() < -eps
+        if neg[k0] and deep[k0:k1].any()
     ]
+
+
+def guard_time(trace: RateTrace) -> float | None:
+    """First grid time at which gamma is below the noise guard of negative_cells,
+    or None when it never is."""
+    deep = _below_guard(trace.gamma)
+    return float(trace.times[np.argmax(deep)]) if deep.any() else None
 
 
 @dataclass(frozen=True)
@@ -185,22 +198,27 @@ def scan(model: ReducedModel, t_max: float | None = None, grid_size: int = DEFAU
     return Scan(trace, tuple(negative_cells(trace.gamma)), horizon, horizon_converged)
 
 
-def _bisect(upper, lo: float, hi: float, done) -> tuple[float, float, int]:
-    """(lo, hi, halvings): [lo, hi] halved, keeping upper(hi) true and upper(lo)
+def _bisect(upper, lo: float, hi: float, done, propose=None) -> tuple[float, float, int]:
+    """(lo, hi, steps): [lo, hi] narrowed, keeping upper(hi) true and upper(lo)
     false, until done(lo, hi) or the midpoint is no longer strictly between them
-    (the floats have run out).  The one bisection loop: interval ends here, the
-    crossover in analysis."""
-    halvings = 0
+    (the floats have run out).  Each step tests propose(lo, hi) when the caller
+    passes it and it returns a point strictly between the ends, else the
+    midpoint.  The one bisection loop: interval ends here, the crossovers in
+    analysis."""
+    steps = 0
     while not done(lo, hi):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+        x = 0.5 * (lo + hi)
+        if not lo < x < hi:
             break
-        halvings += 1
-        if upper(mid):
-            hi = mid
+        guess = propose(lo, hi) if propose is not None else None
+        if guess is not None and lo < guess < hi:
+            x = guess
+        steps += 1
+        if upper(x):
+            hi = x
         else:
-            lo = mid
-    return lo, hi, halvings
+            lo = x
+    return lo, hi, steps
 
 
 def _intervals_from_cells(times, cells, refine_root) -> list[NegativeInterval]:

@@ -3,13 +3,17 @@
 Nothing here reuses the package's quadrature internals: angular averages are
 brute-force Simpson sums, the rate oracle is a Richardson-extrapolated
 trapezoid on a dense uniform grid, the decoherence oracle integrates the rate
-in time with adaptive Simpson, and the SI-path oracle rebuilds the radial
-integral directly from the physical formulas without the reduced model.
+in time with adaptive Simpson, the SI-path oracle rebuilds the radial
+integral directly from the physical formulas without the reduced model, and
+kappa integrates the rate's long-time limit on a rotated contour.
 """
 
+import cmath
 import math
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import dawsn
 
 from becqubit import rate
@@ -198,3 +202,32 @@ def toy_rate_exact_s3(t: float, omega_c: float = 1.0) -> float:
 def toy_rate_exact_s1(t: float, omega_c: float = 1.0) -> float:
     """s = 1: int_0^inf e^{-w^2} sin(wt) dw = D(t/2)."""
     return omega_c * dawsn(omega_c * t / 2.0)
+
+
+def _long_time_rate(dimension: int, x: float) -> float:
+    """F_D(x) = Im int_0^inf k^(D+1)/(k^2/2+1) e^(i x E(k)) dk, E = sqrt(k^2/2 (k^2/2+1)).
+
+    This is the rate integrand with q = sqrt(u_tilde) k and x = u_tilde t/t0 in
+    the limit where only q ~ sqrt(u_tilde) matters: W_D ~ (q ell)^2 and
+    e^(-q^2/2) ~ 1.  On the real axis the integral converges only in the Abel
+    sense; on the ray k = r e^(i pi/4) e^(i x E) decays like e^(-x r^2/2), and no
+    pole (k = i sqrt 2) or branch cut of E lies between the two paths.
+    """
+    rot = cmath.exp(0.25j * math.pi)
+
+    def integrand(r):
+        k = r * rot
+        h = 0.5 * k * k
+        return (rot * k ** (dimension + 1) / (h + 1.0) * cmath.exp(1j * x * cmath.sqrt(h * (h + 1.0)))).imag
+
+    return quad(integrand, 0.0, math.inf, epsabs=1e-10, epsrel=1e-10, limit=200)[0]
+
+
+def kappa(dimension: int) -> float:
+    """kappa_D, the first zero of F_D: gamma first changes sign at u_tilde t/t0 =
+    kappa_D once that time is long, so a window T makes the crossover the a_B with
+    u_tilde T/t0 = kappa_D (0.6432, 1.6396, 3.4909 for D = 3, 2, 1)."""
+    xs = np.arange(0.05, 10.0, 0.05)
+    values = [_long_time_rate(dimension, x) for x in xs]
+    k = next(k for k, v in enumerate(values) if v < 0.0)
+    return brentq(lambda x: _long_time_rate(dimension, x), xs[k - 1], xs[k], xtol=1e-12)
