@@ -12,7 +12,7 @@ Groups:
              each run are also printed, after the digests
   measure    measure and scan on the 30 draws of tests/conftest.py::random_config
              (seed 20120731): N, N_blp, intervals, diagnostics, trace gamma
-             bytes, rel_tol, cells, horizon
+             bytes, rel_tol, cells
   pointwise  rate and decoherence on the same 30 draws at POINTWISE_T0 (0.3 to
              1420 t0)
   traces     rate and Gamma traces (2000 points) at the horizon cap of each
@@ -138,7 +138,7 @@ def measure_and_scan(d: Digest, config):
     d.add((r.N, r.N_blp, r.intervals, r.t_max_used, sorted(r.diagnostics.items())))
     sc = scan(model)
     d.add(sc.trace.gamma)
-    d.add((sc.trace.rel_tol, sc.cells, sc.horizon, sc.horizon_converged))
+    d.add((sc.trace.rel_tol, sc.cells))
 
 
 def pointwise(d: Digest, model, t_t0: float):

@@ -3,8 +3,7 @@
 The Markovian/non-Markovian boundary in a_B is bracketed by classifying each
 candidate by whether the rate dips below the shared noise guard anywhere
 inside one fixed window, by default the horizon cap of the dimension.  t0 does
-not depend on a_B, so the same window serves every candidate, and no horizon
-probe runs.  Classification is sign-exact, so the boundary does not depend on
+not depend on a_B, so the same window serves every candidate.  Classification is sign-exact, so the boundary does not depend on
 the rate prefactor at all; it does depend on the window (a_crit ~ 1/T), which
 CrossoverResult.horizon_limited flags.  The search steps on that law: each
 non-Markovian scan's first time below the guard predicts the next candidate,
@@ -125,7 +124,7 @@ def find_crossover(
     """Bracket the Markovian/non-Markovian boundary in a_B on [0, a_B_max].
 
     a_B_max defaults to the diluteness cap of the dimension, t_max (seconds)
-    to its horizon cap HORIZON_CAPS[dimension] * t0.  Each candidate is
+    to the scan's default window (dynamics.scan_window).  Each candidate is
     classified by one dynamics.scan on [0, t_max].  a_crit T is constant: a
     non-Markovian a_B whose gamma first falls below the noise guard at
     t_guard is the crossover of the window t_guard.  So the next candidate is
@@ -142,8 +141,7 @@ def find_crossover(
     base = replace(base, dimension=dimension)
     if a_B_max is None:
         a_B_max = A_B_MAX_OVER_ARB[dimension] * A_RB
-    if t_max is None:
-        t_max = dynamics.HORIZON_CAPS[dimension] * model_from_config(base).t0
+    t_max = dynamics.scan_window(model_from_config(base), t_max)
     nm_scan = None  # the latest non-Markovian scan, which is the bracket's hi end
 
     def is_nm(a_B: float) -> bool:

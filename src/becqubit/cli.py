@@ -82,8 +82,6 @@ def build_manifest(command: str, config: PhysicalConfig | None, parameters: dict
     tolerances = {
         "rate_rtol": engine.RATE_RTOL,
         "noise_guard": dynamics.NOISE_GUARD,
-        "decay_fraction": dynamics.DECAY_FRACTION,
-        "horizon_start_t0": dynamics.HORIZON_START,
         "horizon_caps_t0": dynamics.HORIZON_CAPS,
         "grid_size": dynamics.DEFAULT_GRID,
     }
@@ -148,10 +146,11 @@ def emit(args, config: PhysicalConfig | None, output: Output, t_start: float) ->
         sys.stdout.write(text)
 
 
-def _window(args, model) -> float | None:
-    """The --t-max-t0 window in seconds, or None for the command's default: the
-    horizon policy, or for crossover the cap of the dimension."""
-    return None if args.t_max_t0 is None else args.t_max_t0 * model.t0
+def _window(args, model) -> tuple[float, str]:
+    """The scan window in seconds, --t-max-t0 or by default the cap of the
+    dimension (dynamics.scan_window), and its manifest text in units of t0."""
+    t_max = dynamics.scan_window(model, None if args.t_max_t0 is None else args.t_max_t0 * model.t0)
+    return t_max, _fmt(t_max / model.t0)
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +161,7 @@ def _window(args, model) -> float | None:
 def cmd_trace(args, config) -> Output:
     """The rate or decoherence trace, by subcommand name."""
     model = model_from_config(config)
-    t_max = _window(args, model)
-    if t_max is None:
-        t_max, _ = dynamics.choose_horizon(model)
+    t_max, _ = _window(args, model)
     if args.command == "rate":
         trace = engine.build_rate_trace(model, t_max, n_points=args.points)
         columns, rows = ["t_s", "gamma_per_s"], zip(trace.times, trace.gamma)
@@ -176,7 +173,8 @@ def cmd_trace(args, config) -> Output:
 
 def cmd_measure(args, config) -> Output:
     model = model_from_config(config)
-    result = dynamics.measure(model, _window(args, model))
+    t_max, t_max_t0 = _window(args, model)
+    result = dynamics.measure(model, t_max)
     rows = [
         ["N", result.N],
         ["N_blp", result.N_blp],
@@ -190,17 +188,15 @@ def cmd_measure(args, config) -> Output:
         f"# summary: N={_fmt(result.N)} N_blp={_fmt(result.N_blp)} "
         f"intervals={len(result.intervals)} t_max_s={_fmt(result.t_max_used)}"
     )
-    parameters = {"t_max_t0": args.t_max_t0 if args.t_max_t0 is not None else "auto"}
-    return Output(parameters, ["quantity", "value"], rows, trailer)
+    return Output({"t_max_t0": t_max_t0}, ["quantity", "value"], rows, trailer)
 
 
 def cmd_crossover(args, config) -> Output:
     tol = args.tol_arb * A_RB
     a_B_max = args.a_b_max_arb * A_RB if args.a_b_max_arb is not None else None
-    t_max = _window(args, model_from_config(config))
+    t_max, t_max_t0 = _window(args, model_from_config(config))
     result = analysis.find_crossover(config.dimension, config, tol=tol, a_B_max=a_B_max, t_max=t_max)
     row = [result.dimension, result.a_crit, result.a_crit_over_aRb, *result.bracket, result.evaluations]
-    t_max_t0 = args.t_max_t0 if args.t_max_t0 is not None else dynamics.HORIZON_CAPS[config.dimension]
     return Output(
         {"tol_arb": args.tol_arb, "a_b_max_arb": args.a_b_max_arb, "t_max_t0": t_max_t0},
         ["dimension", "a_crit_m", "a_crit_over_aRb", "bracket_lo_m", "bracket_hi_m", "evaluations"],
@@ -263,9 +259,10 @@ def cmd_toy(args, config) -> Output:
 
 def cmd_verify_pairs(args, config) -> Output:
     model = model_from_config(config)
-    report = dynamics.verify_optimal_pair(model, _window(args, model), n_random_pairs=args.pairs, seed=args.seed)
+    t_max, t_max_t0 = _window(args, model)
+    report = dynamics.verify_optimal_pair(model, t_max, n_random_pairs=args.pairs, seed=args.seed)
     return Output(
-        {"pairs": args.pairs, "seed": args.seed},
+        {"pairs": args.pairs, "seed": args.seed, "t_max_t0": t_max_t0},
         ["n_pairs", "optimal_regain", "max_random_regain", "max_ratio", "seed"],
         [[report.n_pairs, report.optimal_regain, report.max_random_regain, report.max_ratio, report.seed]],
     )
@@ -294,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("decoherence", "decoherence exponent and coherence trace"),
     ):
         p = add(name, cmd_trace, help=about)
-        p.add_argument("--t-max-t0", type=float, help="trace horizon in units of t0 (default: policy)")
+        p.add_argument("--t-max-t0", type=float, help="trace window in units of t0 (default: the cap)")
         p.add_argument("--points", type=int, default=500)
 
     p = add("measure", cmd_measure, help="non-Markovianity measures and intervals")

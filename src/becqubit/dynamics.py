@@ -6,19 +6,16 @@ quantity reduces to closed forms in Gamma.  Negative stretches of the rate
 gamma(t) are exactly the windows where the trace distance between any pair
 with a transverse separation grows (information flows back).
 
-Classification and measurement share one scan: scan() fixes the window (the
-horizon policy below, or an explicit t_max), traces gamma on a uniform grid
-over it and keeps the negative cells deeper than the noise guard
-(negative_cells).  analysis.classify reads the cells; measure refines them.
-analysis.find_crossover scans every candidate on one explicit window, by
-default the cap HORIZON_CAPS[dimension] * t0, so it runs no horizon probe.
+Classification and measurement share one scan: scan() takes the window
+(scan_window: the caller's t_max, or by default the cap HORIZON_CAPS[dimension]
+* t0), traces gamma on a uniform grid over it and keeps the negative cells
+deeper than the noise guard (negative_cells).  analysis.classify reads the
+cells; measure refines them.  analysis.find_crossover scans every candidate on
+one window, by the same default.
 
-Horizon policy: the scan window starts at HORIZON_START*t0 and doubles until
-the rate has decayed (max |gamma| over the last quarter below DECAY_FRACTION
-of the global max) or the per-dimension cap is reached.  The caps are pinned
-to the horizon the published crossover values imply (see README notes); the
-1D/2D free-gas rate decays too slowly (t^-1/2, t^-1) for any decay criterion
-to terminate on its own.
+The caps are pinned to the window the published crossover values imply (see
+README notes): a_crit scales as 1/T, so the window sets the crossover.  A dip
+still open at the end of the window is kept and flagged as clipped.
 """
 
 from __future__ import annotations
@@ -32,9 +29,7 @@ from . import engine
 from .engine import RateTrace, DecoherenceTrace
 from .params import ReducedModel
 
-HORIZON_START = 50.0  # units of t0
 HORIZON_CAPS = {1: 1420.0, 2: 710.0, 3: 710.0}  # units of t0
-DECAY_FRACTION = 1e-4
 NOISE_GUARD = 1e-6  # fraction of max |gamma| a dip must exceed to count
 DEFAULT_GRID = 2000
 DEFAULT_SEED = 20120731
@@ -122,7 +117,7 @@ def information_flux(
 
 @dataclass(frozen=True)
 class NegativeInterval:
-    """Maximal stretch (a, b) with gamma < 0; b may be clipped by the horizon."""
+    """Maximal stretch (a, b) with gamma < 0; b may be clipped by the window."""
 
     a: float  # seconds
     b: float  # seconds
@@ -133,19 +128,9 @@ class NegativeInterval:
             raise ValueError(f"need 0 < a < b, got ({self.a}, {self.b})")
 
 
-def choose_horizon(model: ReducedModel) -> tuple[float, bool]:
-    """Scan window (seconds) per the doubling policy; bool = decay criterion met."""
-    cap = HORIZON_CAPS[model.dimension] * model.t0
-    t_max = min(HORIZON_START * model.t0, cap)
-    while True:
-        trace = engine.build_rate_trace(model, t_max, n_points=513)
-        mag = np.abs(trace.gamma)
-        tail = mag[trace.times >= 0.75 * t_max].max()
-        if tail < DECAY_FRACTION * mag.max():
-            return t_max, True
-        if t_max >= cap:
-            return t_max, False
-        t_max = min(2.0 * t_max, cap)
+def scan_window(model: ReducedModel, t_max: float | None = None) -> float:
+    """The scan window in seconds: t_max, or by default the cap HORIZON_CAPS[dimension] * t0."""
+    return HORIZON_CAPS[model.dimension] * model.t0 if t_max is None else t_max
 
 
 def _below_guard(values) -> np.ndarray:
@@ -182,20 +167,13 @@ class Scan:
 
     trace: RateTrace
     cells: tuple[tuple[int, int], ...]  # negative_cells(trace.gamma)
-    horizon: str  # "policy" (choose_horizon) or "explicit" (the caller's t_max)
-    horizon_converged: bool | None  # decay criterion met; None for an explicit window
 
 
 def scan(model: ReducedModel, t_max: float | None = None, grid_size: int = DEFAULT_GRID) -> Scan:
-    """The one classification scan: the window, its rate trace and negative cells."""
-    if t_max is None:
-        t_max, horizon_converged = choose_horizon(model)
-        horizon = "policy"
-    else:
-        horizon_converged = None
-        horizon = "explicit"
-    trace = engine.build_rate_trace(model, t_max, n_points=grid_size)
-    return Scan(trace, tuple(negative_cells(trace.gamma)), horizon, horizon_converged)
+    """The one classification scan: the rate trace over scan_window(model, t_max)
+    and its negative cells."""
+    trace = engine.build_rate_trace(model, scan_window(model, t_max), n_points=grid_size)
+    return Scan(trace, tuple(negative_cells(trace.gamma)))
 
 
 def _bisect(upper, lo: float, hi: float, done, propose=None) -> tuple[float, float, int]:
@@ -292,8 +270,6 @@ def measure(
     diagnostics = {
         "grid_size": grid_size,
         "guard_fraction": NOISE_GUARD,
-        "horizon": sc.horizon,
-        "horizon_converged": sc.horizon_converged,
         "n_intervals": len(intervals),
         "gamma_exponents": exponents,
     }

@@ -324,11 +324,12 @@ def build_decoherence_trace(model: ReducedModel, t_max: float, n_points: int = 2
     return DecoherenceTrace(times=times, Gamma=Gamma, coherence=np.exp(-Gamma))
 
 
-# The spot-check references, memoized: the horizon probes and the scan of one
-# classification end at the same time, and successive probe windows share grid
-# times.  The key is exact (a frozen model, the float s) and only floats are
-# held; a ConvergenceError is not cached, so it is raised again on the next
-# call.  rate() and decoherence() call _pointwise directly, uncached.
+# The spot-check references, memoized: a caller that traces the same model and
+# window again (a repeated scan, or the same trace rebuilt) gets its references
+# back instead of paying the adaptive quadrature for each.  The key is exact (a
+# frozen model, the float s) and only floats are held; a ConvergenceError is
+# not cached, so it is raised again on the next call.  rate() and decoherence()
+# call _pointwise directly, uncached.
 _spot_reference = lru_cache(maxsize=32)(_pointwise)
 
 

@@ -247,11 +247,6 @@ class TestCrossoverWindow:
         ends = []
         real = engine._spot_check
         monkeypatch.setattr(engine, "_spot_check", lambda *a: ends.append(a[1][-1]) or real(*a))
-
-        def no_probes(model):
-            raise AssertionError("find_crossover ran the horizon policy")
-
-        monkeypatch.setattr(dynamics, "choose_horizon", no_probes)
         res = find_crossover(3, tol=2e-2 * A_RB)
         assert len(ends) == res.evaluations
         assert set(ends) == {res.t_max}

@@ -100,6 +100,11 @@ class TestMeasureCommand:
         assert float(table["interval_1_a_s"]) == pytest.approx(direct.intervals[0].a, rel=1e-11)
         assert "# summary:" in out
 
+    def test_header_records_the_cap_window(self, capsys):
+        code, out, _ = run_cli(capsys, "measure", "--a-b-over-arb", "0")
+        assert code == 0
+        assert "# param.t_max_t0=7.10000000000e+02" in out.splitlines()
+
 
 class TestCrossoverCommand:
     def test_no_crossover_exit_4(self, capsys):
@@ -118,12 +123,12 @@ class TestCrossoverCommand:
     def test_header_records_the_cap_window(self, capsys):
         code, out, _ = run_cli(capsys, "crossover", "--tol-arb", "0.02")
         assert code == 0
-        assert "# param.t_max_t0=710.0" in out.splitlines()
+        assert "# param.t_max_t0=7.10000000000e+02" in out.splitlines()
 
     def test_explicit_window(self, capsys):
         code, out, _ = run_cli(capsys, "crossover", "--tol-arb", "0.02", "--t-max-t0", "355")
         assert code == 0
-        assert "# param.t_max_t0=355.0" in out.splitlines()
+        assert "# param.t_max_t0=3.55000000000e+02" in out.splitlines()
         header, rows = parse_csv(out)
         value = dict(zip(header, rows[0]))
         t0 = model_from_config(default_config()).t0
@@ -214,6 +219,17 @@ class TestVerifyPairsCommand:
         header, rows = parse_csv(out)
         assert "# param.seed=5" in out
         assert dict(zip(header, rows[0]))["seed"] == "5"
+
+    def test_window_sets_the_digest(self, capsys):
+        # two windows give two regains, so they must give two manifests
+        digests = []
+        for t_max_t0, recorded in (("120", "1.20000000000e+02"), ("400", "4.00000000000e+02")):
+            code, out, _ = run_cli(capsys, "verify-pairs", "--pairs", "100", "--t-max-t0", t_max_t0)
+            assert code == 0
+            lines = out.splitlines()
+            assert f"# param.t_max_t0={recorded}" in lines
+            digests.append(next(line for line in lines if line.startswith("# digest=")))
+        assert digests[0] != digests[1]
 
 
 class TestConfigHandling:
@@ -318,7 +334,7 @@ class TestConfigFlags:
 
     @pytest.mark.parametrize("command", ["rate", "measure"])
     def test_zero_window_exit_2(self, capsys, command):
-        # an explicit zero window is an error, not a request for the policy horizon
+        # an explicit zero window is an error, not a request for the default window
         code, _, err = run_cli(capsys, command, "--t-max-t0", "0")
         assert code == 2
         assert "t_max must be positive" in err

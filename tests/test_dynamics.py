@@ -10,7 +10,6 @@ from becqubit import (
     QubitState,
     build_decoherence_trace,
     build_rate_trace,
-    choose_horizon,
     classify,
     decoherence,
     default_config,
@@ -25,6 +24,7 @@ from becqubit import (
 from becqubit import engine
 from becqubit.constants import A_RB
 from becqubit.dynamics import (
+    HORIZON_CAPS,
     UndefinedFluxError,
     _bisect,
     _intervals_from_cells,
@@ -232,16 +232,18 @@ class TestNegativeIntervals:
 
 
 class TestScan:
+    def test_caps_by_dimension(self):
+        assert HORIZON_CAPS[3] == HORIZON_CAPS[2] < HORIZON_CAPS[1]
+
     def test_default_policy_horizon(self, default_model):
+        # no window given: the cap of the dimension
         sc = scan(default_model)
-        assert sc.horizon == "policy"
-        assert sc.horizon_converged is True
-        assert sc.trace.times[-1] / default_model.t0 == pytest.approx(400.0, rel=1e-12)
+        assert sc.trace.times[-1] == 710.0 * default_model.t0
         assert len(sc.trace.times) == 2000
         assert sc.cells == tuple(negative_cells(sc.trace.gamma))
 
     def test_each_spot_reference_computed_once(self, default_model, monkeypatch):
-        # the last horizon probe and the scan end at the same time
+        # a second scan of the same model and window gets its references back
         engine._spot_reference.cache_clear()
         calls = []
         real = engine._converged
@@ -252,7 +254,10 @@ class TestScan:
 
         monkeypatch.setattr(engine, "_converged", counted)
         scan(default_model)
-        assert calls and len(set(calls)) == len(calls)
+        first = len(calls)
+        scan(default_model)
+        assert first and len(calls) == first
+        assert len(set(calls)) == len(calls)
 
     def test_warm_references_give_the_same_scan(self, default_model):
         engine._spot_reference.cache_clear()
@@ -264,8 +269,6 @@ class TestScan:
 
     def test_explicit_window(self, default_model):
         sc = scan(default_model, 120.0 * default_model.t0, grid_size=800)
-        assert sc.horizon == "explicit"
-        assert sc.horizon_converged is None
         assert sc.trace.times[-1] == 120.0 * default_model.t0
         assert len(sc.trace.times) == 800
 
@@ -274,7 +277,7 @@ class TestScan:
         [
             (3, 0.02, "Markovian"),
             (3, 0.05, "NonMarkovian"),
-            (2, 0.11, "Markovian"),  # the 2D cap ends the scan before the decay test passes
+            (2, 0.11, "Markovian"),
             (2, 0.15, "NonMarkovian"),
         ],
     )
@@ -283,27 +286,6 @@ class TestScan:
         result = measure(m)
         assert classify(m) == expected
         assert bool(result.intervals) == (expected == "NonMarkovian")
-        if dimension == 2:
-            assert result.diagnostics["horizon_converged"] is False
-
-
-class TestHorizonPolicy:
-    def test_default_3d_window(self, default_model):
-        t_max, converged = choose_horizon(default_model)
-        assert converged
-        assert t_max / default_model.t0 == pytest.approx(400.0, rel=1e-12)
-
-    def test_caps_by_dimension(self):
-        from becqubit.dynamics import HORIZON_CAPS
-
-        assert HORIZON_CAPS[3] == HORIZON_CAPS[2] < HORIZON_CAPS[1]
-
-    def test_slow_decay_hits_cap(self):
-        # the quasi-1D free-like rate decays as t^-1/2: cap engaged, flagged
-        m = model_from_config(default_config(dimension=1, a_B=0.05 * A_RB))
-        t_max, converged = choose_horizon(m)
-        assert not converged
-        assert t_max / m.t0 == pytest.approx(1420.0, rel=1e-12)
 
 
 class TestMeasure:
@@ -331,8 +313,8 @@ class TestMeasure:
     @pytest.mark.parametrize(
         "dimension, a_B_over_aRb, ends, exponents",
         [
-            (3, 1.0, (8.189953871351275e-05, 0.0008934455283182085),
-             (0.014102736653044038, 0.013357798862466965)),
+            (3, 1.0, (8.189953871624983e-05, 0.0008934455282880492),
+             (0.014102736653044038, 0.013357798862466982)),
             (2, 0.15, (0.0015999351300812759, 0.0019675286538349533),
              (0.12243294002839561, 0.12224319704332408)),
             (1, 0.3, (0.002401295744827445, 0.0039350573076699065),
@@ -351,8 +333,16 @@ class TestMeasure:
 
     def test_explicit_horizon_recorded(self, default_model):
         res = measure(default_model, t_max=120.0 * default_model.t0)
-        assert res.t_max_used == pytest.approx(120.0 * default_model.t0)
-        assert res.diagnostics["horizon"] == "explicit"
+        assert res.t_max_used == 120.0 * default_model.t0
+
+    def test_default_window_keeps_the_dip_open_past_400_t0(self):
+        # the dip ends at 557.85 t0; a window that stops at 400 t0 clips it there
+        model = model_from_config(default_config(L=50e-9, a_B=0.575 * A_RB))
+        res = measure(model)
+        assert res.t_max_used == HORIZON_CAPS[3] * model.t0
+        assert len(res.intervals) == 1
+        assert not res.intervals[0].clipped
+        assert res.intervals[0].b / model.t0 == pytest.approx(557.85, rel=1e-5)
 
     @given(
         Ga=st.floats(min_value=1e-3, max_value=5.0),
