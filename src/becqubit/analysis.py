@@ -3,11 +3,11 @@
 The Markovian/non-Markovian boundary in a_B is bracketed by classifying each
 candidate by whether the rate dips below the shared noise guard anywhere
 inside one fixed window, by default the horizon cap of the dimension.  t0 does
-not depend on a_B, so the same window serves every candidate.  Classification is sign-exact, so the boundary does not depend on
-the rate prefactor at all; it does depend on the window (a_crit ~ 1/T), which
-CrossoverResult.horizon_limited flags.  The search steps on that law: each
-non-Markovian scan's first time below the guard predicts the next candidate,
-with bisection as the safeguard.
+not depend on a_B, so the same window serves every candidate.  Classification
+is sign-exact, so the boundary does not depend on the rate prefactor at all; it
+does depend on the window (a_crit ~ 1/T), which CrossoverResult.horizon_limited
+flags.  The search steps on that law: each non-Markovian scan's first time
+below the guard predicts the next candidate, with bisection as the safeguard.
 """
 
 from __future__ import annotations
