@@ -11,8 +11,11 @@ Groups:
              tau = 30/60 nm: a_crit, bracket, evaluations; the evaluations of
              each run are also printed, after the digests
   measure    measure and scan on the 30 draws of tests/conftest.py::random_config
-             (seed 20120731): N, N_blp, intervals, diagnostics, trace gamma
-             bytes, rel_tol, cells
+             (seed 20120731): N, N_blp, intervals, diagnostics, cells
+  scan_traces
+             the trace of the same scans: gamma bytes and rel_tol.  A change
+             that moves only the last bits of trace values shows here and not
+             on measure.
   pointwise  rate and decoherence on the same 30 draws at POINTWISE_T0 (0.3 to
              1420 t0)
   traces     rate and Gamma traces (2000 points) at the horizon cap of each
@@ -132,13 +135,16 @@ def crossover(d: Digest, dimension: int, overrides: dict, evaluations: list):
     evaluations.append(r.evaluations)
 
 
-def measure_and_scan(d: Digest, config):
-    model = model_from_config(config)
+def measure_and_scan(d: Digest, model):
     r = measure(model)
     d.add((r.N, r.N_blp, r.intervals, r.t_max_used, sorted(r.diagnostics.items())))
-    sc = scan(model)
-    d.add(sc.trace.gamma)
-    d.add((sc.trace.rel_tol, sc.cells))
+    d.add(scan(model).cells)
+
+
+def scan_trace(d: Digest, model):
+    trace = scan(model).trace
+    d.add(trace.gamma)
+    d.add(trace.rel_tol)
 
 
 def pointwise(d: Digest, model, t_t0: float):
@@ -190,15 +196,18 @@ def main() -> int:
     for dimension, overrides in CROSSOVER_RUNS:
         d.run(crossover, dimension, overrides, evaluations)
 
-    d = groups["measure"] = Digest()
     rng = np.random.default_rng(SEED)
-    for _ in range(N_DRAWS):
-        d.run(measure_and_scan, random_config(rng))
+    draws = [model_from_config(random_config(rng)) for _ in range(N_DRAWS)]
+    d = groups["measure"] = Digest()
+    for model in draws:
+        d.run(measure_and_scan, model)
+
+    d = groups["scan_traces"] = Digest()
+    for model in draws:
+        d.run(scan_trace, model)
 
     d = groups["pointwise"] = Digest()
-    rng = np.random.default_rng(SEED)
-    for _ in range(N_DRAWS):
-        model = model_from_config(random_config(rng))
+    for model in draws:
         for t_t0 in POINTWISE_T0:
             d.run(pointwise, model, t_t0)
 

@@ -16,10 +16,14 @@ is below e^-32 ~ 1.3e-14 of its peak, negligible against RATE_RTOL.
 Traces on a uniform time grid t_j = j dt integrate in the energy variable,
 gamma(t) = int J(omega) sin(omega t) domega, on the node set of
 rate_from_spectrum at the end of the window (_spectral_node_set).  Its panels
-are the graded head of _omega_nodes, summed directly, and uniform panels of
-width h, on which node k of panel p sits at omega_k + p h: for each k the sum
-over p is a chirp-z transform in exp(i h dt), evaluated for all 16 node
-indices at once by one FFT convolution (_uniform_transform, Bluestein).
+are the graded head of _omega_nodes and uniform panels of width h.  The head's
+656 nodes go by angle addition over a coarse and a fine time grid
+(_head_transform), so they need sin and cos at ~2 sqrt(n) times and two small
+matrix products instead of a sine per node and time.  On the uniform panels
+node k of panel p sits at omega_k + p h: for each k the sum over p is a
+chirp-z transform in exp(i h dt), evaluated for all 16 node indices at once
+by one FFT convolution (_uniform_transform, Bluestein) of a 2^k, 3 2^k or
+5 2^k length (_fft_length).
 _uniform_trace serves the model and the toy rate trace in analysis alike: every
 trace is spot-checked (_spot_check) at its first step, its last point and its
 extremum against a pointwise reference; for the model that is the adaptive
@@ -247,23 +251,45 @@ class DecoherenceTrace:
     coherence: np.ndarray  # exp(-Gamma)
 
 
+def _fft_length(n: int) -> int:
+    """The smallest FFT length m >= n of the form 2^k, 3 2^k or 5 2^k: numpy's
+    FFT is fast on these, and m < 4n/3 where the next power of two can be 2n."""
+    return min(f << (-(-n // f) - 1).bit_length() for f in (1, 3, 5))
+
+
+def _head_transform(E: np.ndarray, c: np.ndarray, times: np.ndarray, kind: str) -> np.ndarray:
+    """sum_k c_k sin(E_k t_j) ('rate') or (c_k/E_k)(1 - cos E_k t_j) ('gamma') on
+    the uniform grid times, by angle addition over t_(aB+b) = t_(aB) + t_b with
+    B ~ sqrt(len(times)): sin and cos are taken on the coarse and fine times
+    only, and the sum over k is two matrix products.  'gamma' takes
+    1 - cos(A + B) = u_A + u_B - u_A u_B + sin A sin B with u = 2 sin^2(./2),
+    whose every term is O(E^2), so the weight c/E, unbounded as E -> 0, never
+    multiplies a cancelling difference."""
+    n_fine = math.isqrt(len(times) - 1) + 1  # >= sqrt(len(times)), so the coarse times number at most as many
+    coarse, fine = np.multiply.outer(times[::n_fine], E), np.multiply.outer(times[:n_fine], E)
+    sin_a, sin_b = np.sin(coarse), np.sin(fine)
+    if kind == "rate":
+        out = (sin_a * c) @ np.cos(fine).T + (np.cos(coarse) * c) @ sin_b.T
+    else:
+        w = c / E
+        u_a, u_b = 2.0 * np.sin(0.5 * coarse) ** 2, 2.0 * np.sin(0.5 * fine) ** 2
+        out = (u_a @ w)[:, None] + u_b @ w - (u_a * w) @ u_b.T + (sin_a * w) @ sin_b.T
+    return out.ravel()[: len(times)]  # row a, column b is time index a B + b; the last row runs past the grid
+
+
 def _uniform_transform(nodes: _NodeSet, times: np.ndarray, kind: str) -> np.ndarray:
     """The integral on the uniform grid times (times[0] = 0) over nodes laid out by
     _omega_nodes: kind 'rate' sums coeff sin(E t), kind 'gamma' coeff 2 sin^2(E t/2)/E.
 
-    The graded head is summed directly.  On the uniform panels node k of panel p
-    is at E_k + p h, so sum_p c_pk exp(i p h t_j) is a chirp-z transform in
-    w = exp(i h dt); Bluestein's p j = (p^2 + j^2 - (j - p)^2)/2 makes it one
-    FFT convolution for all k.  'gamma' takes the form (c/E)(1 - cos E t) only
-    there: on the head c/E is unbounded and the two terms would cancel.
+    The graded head goes by angle addition (_head_transform).  On the uniform
+    panels node k of panel p is at E_k + p h, so sum_p c_pk exp(i p h t_j) is a
+    chirp-z transform in w = exp(i h dt); Bluestein's p j = (p^2 + j^2 - (j - p)^2)/2
+    makes it one FFT convolution for all k, of length _fft_length.  'gamma'
+    takes the form (c/E)(1 - cos E t) only there: on the head c/E is unbounded
+    and the two terms would cancel.
     """
     head = (GRADED_LEVELS + 1) * GL_NODES
-    E, c = nodes.energy[:head], nodes.coeff[:head]
-    phase = np.outer(times, E)
-    if kind == "rate":
-        out = np.sin(phase) @ c
-    else:
-        out = (2.0 * np.sin(0.5 * phase) ** 2) @ (c / E)
+    out = _head_transform(nodes.energy[:head], nodes.coeff[:head], times, kind)
     E = nodes.energy[head:].reshape(-1, GL_NODES).T  # (node index k, panel p)
     c = nodes.coeff[head:].reshape(-1, GL_NODES).T
     if kind == "gamma":
@@ -276,11 +302,15 @@ def _uniform_transform(nodes: _NodeSet, times: np.ndarray, kind: str) -> np.ndar
     mantissa, exponent = math.frexp(alpha)
     alpha_head = math.ldexp(round(mantissa * 2**20), exponent - 20)
     chirp = np.exp(1j * (alpha_head * n2)) * np.exp(1j * ((alpha - alpha_head) * n2))
-    size = 1 << (n_panels + n_points - 2).bit_length()
+    size = _fft_length(n_panels + n_points - 1)
     kernel = np.zeros(size, dtype=complex)
     kernel[:n_points] = chirp[:n_points].conj()
     kernel[size - n_panels + 1 :] = chirp[n_panels - 1 : 0 : -1].conj()
-    conv = np.fft.ifft(np.fft.fft(c * chirp[:n_panels], size) * np.fft.fft(kernel))[:, :n_points]
+    conv = np.zeros((GL_NODES, size), dtype=complex)  # row k: c_pk chirp_p, padded in place
+    conv[:, :n_panels] = c * chirp[:n_panels]
+    np.fft.fft(conv, out=conv)
+    conv *= np.fft.fft(kernel)
+    conv = np.fft.ifft(conv, out=conv)[:, :n_points]
     z = (np.exp(1j * np.outer(E[:, 0], times)) * conv).sum(axis=0) * chirp[:n_points]
     out += z.imag if kind == "rate" else c.sum() - z.real
     out[0] = 0.0  # exact at t = 0, where the transform leaves rounding

@@ -33,7 +33,21 @@ from becqubit import (
 import becqubit
 from becqubit.constants import A_RB, HBAR
 from becqubit.dynamics import HORIZON_CAPS
-from becqubit.engine import GL_NODES, QMAX, RATE_RTOL, _NODES, _converged, _energy_reduced, _node_set, _NodeSet, fit_exponent_values
+from becqubit.analysis import _toy_nodes
+from becqubit.engine import (
+    GL_NODES,
+    QMAX,
+    RATE_RTOL,
+    _NODES,
+    _converged,
+    _energy_reduced,
+    _fft_length,
+    _node_set,
+    _NodeSet,
+    _spectral_node_set,
+    _uniform_transform,
+    fit_exponent_values,
+)
 from conftest import random_config
 
 
@@ -362,6 +376,53 @@ class TestTraces:
                 gamma=np.zeros(3),
                 rel_tol=0.0,
             )
+
+
+def _uniform_set(name):
+    """(node set, window) laid out by _omega_nodes: the 3D default and the 1D free
+    gas (u_tilde = 0, where c/E is unbounded on the graded head) at 60 t0, the toy
+    at its CLI window."""
+    if name == "toy":
+        return _toy_nodes(ToyModel(s=2.5, omega_c=1.0), 64.0), 64.0
+    config = default_config() if name == "3d_default" else default_config(dimension=1, a_B=0.0)
+    m = model_from_config(config)
+    return _spectral_node_set(m, 60 * m.t0), 60 * m.t0
+
+
+class TestUniformTransform:
+    @pytest.mark.parametrize("kind", ["rate", "gamma"])
+    @pytest.mark.parametrize("n_points", [2, 3, 7, 2000, 2001])
+    @pytest.mark.parametrize("name", ["3d_default", "1d_free", "toy"])
+    def test_matches_direct_node_sum(self, name, n_points, kind):
+        # 2000 and 2001 points leave a full and a ragged last block of the
+        # head's coarse x fine time split
+        nodes, t_max = _uniform_set(name)
+        times = np.linspace(0.0, t_max, n_points)
+        phase = np.multiply.outer(times, nodes.energy)
+        if kind == "rate":
+            direct = np.sin(phase) @ nodes.coeff
+        else:
+            direct = (2.0 * np.sin(0.5 * phase) ** 2) @ (nodes.coeff / nodes.energy)
+        # a value far below the envelope bound is a cancellation of terms up to
+        # the bound, so any sum over these nodes carries ~1e-16 of the bound there
+        tol = max(1e-14 * np.abs(direct).max(), 1e-15 * nodes.envelope_bound(kind))
+        np.testing.assert_allclose(_uniform_transform(nodes, times, kind), direct, rtol=0.0, atol=tol)
+
+    def test_fft_length_is_the_least_smooth_length_at_most_the_power_of_two(self):
+        smooth = sorted(f << k for f in (1, 3, 5) for k in range(14))
+        for n in range(1, 5001):
+            m = _fft_length(n)
+            assert m == next(x for x in smooth if x >= n)
+            assert m <= 1 << (n - 1).bit_length()
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 640, 768, 1024, 10240, 12288, 16384])
+    def test_fft_length_keeps_a_smooth_length(self, n):
+        assert _fft_length(n) == n
+
+    def test_fft_length_at_the_cap_traces(self):
+        # 7363 panels + 2000 points in 3D/2D, 14595 + 2000 in 1D
+        assert _fft_length(9362) == 10240
+        assert _fft_length(16594) == 20480
 
 
 class TestSpectralDensity:
