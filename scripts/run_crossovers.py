@@ -4,7 +4,7 @@
 Runs `becqubit crossover` once per dimension and writes crossover_<D>d.csv,
 each with its manifest digest in the header and a .manifest.json sidecar.
 With default parameters this reproduces the reference values
-a_crit/a_Rb ~ 0.034 (3D), 0.122 (2D), 0.183 (1D) in about 1.5 s, interpreter
+a_crit/a_Rb ~ 0.034 (3D), 0.122 (2D), 0.183 (1D) in about 1 s, interpreter
 start-up included (2-core Intel Xeon, one BLAS thread, Python 3.11, numpy 2.4).
 """
 

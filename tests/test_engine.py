@@ -415,14 +415,13 @@ class TestUniformTransform:
             assert m == next(x for x in smooth if x >= n)
             assert m <= 1 << (n - 1).bit_length()
 
-    @pytest.mark.parametrize("n", [1, 3, 5, 640, 768, 1024, 10240, 12288, 16384])
-    def test_fft_length_keeps_a_smooth_length(self, n):
-        assert _fft_length(n) == n
-
-    def test_fft_length_at_the_cap_traces(self):
-        # 7363 panels + 2000 points in 3D/2D, 14595 + 2000 in 1D
-        assert _fft_length(9362) == 10240
-        assert _fft_length(16594) == 20480
+    # a smooth n is kept; 9362 and 16594 are the 2000-point traces at the 3D/2D
+    # and 1D caps (7363 and 14595 panels), where the power of two is 16384 and 32768
+    @pytest.mark.parametrize(
+        "n, m", [(1, 1), (3, 3), (5, 5), (768, 768), (1024, 1024), (12288, 12288), (9362, 10240), (16594, 20480)]
+    )
+    def test_fft_length_values(self, n, m):
+        assert _fft_length(n) == m
 
 
 class TestSpectralDensity:
