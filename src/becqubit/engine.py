@@ -306,11 +306,11 @@ def _uniform_transform(nodes: _NodeSet, times: np.ndarray, kind: str) -> np.ndar
     kernel = np.zeros(size, dtype=complex)
     kernel[:n_points] = chirp[:n_points].conj()
     kernel[size - n_panels + 1 :] = chirp[n_panels - 1 : 0 : -1].conj()
-    conv = np.zeros((GL_NODES, size), dtype=complex)  # row k: c_pk chirp_p, padded in place
+    conv = np.zeros((GL_NODES, size), dtype=complex)  # row k: c_pk chirp_p, zero-padded
     conv[:, :n_panels] = c * chirp[:n_panels]
-    np.fft.fft(conv, out=conv)
+    conv = np.fft.fft(conv)
     conv *= np.fft.fft(kernel)
-    conv = np.fft.ifft(conv, out=conv)[:, :n_points]
+    conv = np.fft.ifft(conv)[:, :n_points]
     z = (np.exp(1j * np.outer(E[:, 0], times)) * conv).sum(axis=0) * chirp[:n_points]
     out += z.imag if kind == "rate" else c.sum() - z.real
     out[0] = 0.0  # exact at t = 0, where the transform leaves rounding
