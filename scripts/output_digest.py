@@ -40,18 +40,28 @@ on its own lines.
 
 A point that raises contributes its exception type and message instead; each
 line ends with how many did.
+
+The BLAS thread count moves the last bits of the node sums (the measure,
+pointwise, traces and spectral groups differ between one and two threads), so
+the script sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1
+where they are unset, before numpy is imported.  Two checkouts compare bit for
+bit only at equal thread counts.
 """
 
 import contextlib
 import hashlib
 import io
 import itertools
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from becqubit import (
+import numpy as np  # noqa: E402
+
+from becqubit import (  # noqa: E402
     ToyModel,
     cli,
     build_decoherence_trace,
@@ -68,7 +78,7 @@ from becqubit import (
     toy_rate,
     toy_rate_trace,
 )
-from becqubit.dynamics import HORIZON_CAPS
+from becqubit.dynamics import HORIZON_CAPS  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from conftest import random_config  # noqa: E402

@@ -4,11 +4,13 @@ The integrals all share the same structure: a smooth positive envelope
 f(q) = q^(D-1) W_D(q*ell) exp(-q^2/2) / (q^2/2 + u_tilde)  (reduced units)
 times an oscillatory factor built from the Bogoliubov phase E(q)*t.  They are
 evaluated with composite 16-node Gauss-Legendre panels (_gauss_legendre) sized
-so that no panel sees more than half an oscillation of the phase, then
-refined by panel doubling (_converged) until the result is stable to RATE_RTOL.
-The same refinement loop serves the rates of an omega-variable spectrum, whose
-panels follow one rule (_omega_nodes): rate_from_spectrum over J_eff and the
-toy spectrum in analysis.
+so that no panel sees more than half an oscillation of the phase.  _converged
+takes the sum at twice that panel count (refine 1) and certifies it to
+RATE_RTOL with null rules on its own panels (_null_rule_error); a sum they
+reject is refined by panel doubling until stable.  The same certificate and
+loop serve the rates of an omega-variable spectrum, whose panels follow one
+rule (_omega_nodes): rate_from_spectrum over J_eff and the toy spectrum in
+analysis.
 
 The wavenumber integral is truncated at q = QMAX/tau where the Gaussian factor
 is below e^-32 ~ 1.3e-14 of its peak, negligible against RATE_RTOL.
@@ -49,6 +51,11 @@ MAX_REFINE = 8
 GRADED_LEVELS = 40  # _omega_nodes' first panel is split down to 2^-40 of its width, _node_set's at most
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GL_NODES)
+# Null rules of a panel (_null_rule_error): row i holds P_j at the nodes for
+# j = 15, 14, 13, 12.  Applied to the terms w_k f(x_k) of the panel, row i gives
+# the panel's Legendre coefficient of degree j times 2/(2j + 1), and vanishes on
+# every polynomial f of degree below j.
+_NULL_RULES = np.polynomial.legendre.legvander(_NODES, GL_NODES - 1)[:, : GL_NODES - 5 : -1].T
 
 
 class ConvergenceError(RuntimeError):
@@ -150,13 +157,19 @@ class _NodeSet:
     coeff: np.ndarray  # weight * envelope, all >= 0
     energy: np.ndarray  # phase frequency at each node: E(q) in E0 units, or omega
 
+    def oscillation(self, s: float, kind: str) -> np.ndarray:
+        """The factor of coeff at each node: sin(E s) ('rate') or 2 sin^2(E s/2)/E
+        ('gamma'), which is int_0^s sin(E s') ds' = (1 - cos(E s))/E."""
+        if kind == "rate":
+            return np.sin(self.energy * s)
+        half = np.sin(0.5 * self.energy * s)
+        return 2.0 * half * half / self.energy
+
     def rate_at(self, s: float) -> float:
-        return float(self.coeff @ np.sin(self.energy * s))
+        return float(self.coeff @ self.oscillation(s, "rate"))
 
     def gamma_at(self, s: float) -> float:
-        # int_0^s sin(E s') ds' = (1 - cos(E s))/E = 2 sin^2(E s / 2)/E
-        half = np.sin(0.5 * self.energy * s)
-        return float(self.coeff @ (2.0 * half * half / self.energy))
+        return float(self.coeff @ self.oscillation(s, "gamma"))
 
     def envelope_bound(self, kind: str) -> float:
         """Upper bound on |integral|: the oscillatory factor is at most 1 (rate)
@@ -185,26 +198,52 @@ def _node_set(model: ReducedModel, t_red: float, refine: int = 0) -> _NodeSet:
     return _NodeSet(coeff=w * _envelope(model, q), energy=_energy_reduced(q, model.u_tilde))
 
 
+def _null_rule_error(terms: np.ndarray, floor: float) -> float:
+    """Error estimate of sum(terms), the weighted integrand values of
+    consecutive GL_NODES-point panels, from the terms alone (Berntsen & Espelid,
+    ACM TOMS 17 (1991) 233).  On each panel the null rules of degree 15 and 14,
+    and of 13 and 12, are paired by their norm; each pair summed over the
+    panels gives E1 and E2.  The estimate is 10 E1 if the tail decays
+    (E1 <= E2), else infinite, never accepted.  The exception is E1 at the
+    rounding level, at most floor / 100: there E1 and E2 are noise and as
+    likely to rise as to fall, and even a hundredfold underestimate stays
+    below the floor."""
+    pairs = terms.reshape(-1, GL_NODES) @ _NULL_RULES.T
+    e1 = float(np.hypot(pairs[:, 0], pairs[:, 1]).sum())
+    e2 = float(np.hypot(pairs[:, 2], pairs[:, 3]).sum())
+    return 10.0 * e1 if e1 <= e2 or 100.0 * e1 <= floor else math.inf
+
+
 def _converged(node_set, s: float, kind: str, failure: str) -> float:
-    """The integral of kind 'rate' (rate_at) or 'gamma' (gamma_at) at finite time s >= 0,
-    refined by panel doubling over node_set(s, refine) to RATE_RTOL.  A change
-    below the floor of the unrefined rule is cancellation noise and accepted."""
+    """The integral of kind 'rate' or 'gamma' (_NodeSet.oscillation) at finite
+    time s >= 0 over node_set(s, refine), converged to RATE_RTOL.
+
+    The value is that of node_set(s, 1).  It is accepted when the null-rule
+    estimate of its panels (_null_rule_error) is within RATE_RTOL of it or
+    below the floor of that node set, under which a difference is
+    cancellation noise.  Otherwise node_set(s, 0) is built and the panels are
+    doubled until consecutive values agree to the same tolerance, up to
+    MAX_REFINE; the later of the two is returned."""
     if not 0.0 <= s < math.inf:
         raise ValueError("t must be >= 0 and finite")
     if s == 0.0:
         return 0.0
-    evaluate = _NodeSet.rate_at if kind == "rate" else _NodeSet.gamma_at
-    nodes = node_set(s, 0)
+    nodes = node_set(s, 1)
     floor = nodes.floor(kind)
-    prev = evaluate(nodes, s)
-    achieved = math.inf
-    for refine in range(1, MAX_REFINE + 1):
-        cur = evaluate(node_set(s, refine), s)
-        achieved = abs(cur - prev) / max(abs(cur), floor, 1e-300)
-        if abs(cur - prev) <= max(RATE_RTOL * abs(cur), floor):
-            return cur
-        prev = cur
-    raise ConvergenceError(failure, achieved)
+    terms = nodes.oscillation(s, kind)
+    cur = float(nodes.coeff @ terms)
+    terms *= nodes.coeff
+    if _null_rule_error(terms, floor) <= max(RATE_RTOL * abs(cur), floor):
+        return cur
+    del nodes, terms  # freed before the doubling builds more node sets
+    evaluate = _NodeSet.rate_at if kind == "rate" else _NodeSet.gamma_at
+    prev, refine = evaluate(node_set(s, 0), s), 1
+    while abs(cur - prev) > max(RATE_RTOL * abs(cur), floor):
+        if refine == MAX_REFINE:
+            raise ConvergenceError(failure, abs(cur - prev) / max(abs(cur), floor, 1e-300))
+        refine += 1
+        prev, cur = cur, evaluate(node_set(s, refine), s)
+    return cur
 
 
 def _pointwise(model: ReducedModel, s: float, kind: str) -> float:

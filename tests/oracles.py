@@ -20,6 +20,7 @@ from becqubit import rate
 from becqubit.constants import HBAR
 
 QMAX_OVER_TAU = 8.0
+_trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 names it trapz
 
 
 def angular_average(dimension: int, x: float, n: int = 20001) -> float:
@@ -70,7 +71,7 @@ def si_path_rate(config, couplings, t: float, n_points: int = 400001) -> float:
     f, E = _si_integrand(config, couplings, k)
     integrand = f * np.sin(E * t / HBAR)
     prefactor = couplings.A * _MEASURE_CONST[config.dimension]
-    return prefactor * float(np.trapezoid(integrand, k))
+    return prefactor * float(_trapezoid(integrand, k))
 
 
 def si_gl_rate(config, couplings, t: float) -> float:
@@ -130,7 +131,7 @@ def richardson_rate(model, t: float, density_factor: int = 10) -> float:
         f[0] = 0.0 if model.dimension != 1 else model.ell**2 / model.u_tilde if model.u_tilde > 0 else 2.0 * model.ell**2
         integrand = f * np.sin(E * s)
         integrand[0] = 0.0
-        return float(np.trapezoid(integrand, q))
+        return float(_trapezoid(integrand, q))
 
     coarse = trap(n)
     fine = trap(2 * n)

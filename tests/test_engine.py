@@ -31,6 +31,7 @@ from becqubit import (
     toy_rate,
 )
 import becqubit
+from becqubit import engine
 from becqubit.constants import A_RB, HBAR
 from becqubit.dynamics import HORIZON_CAPS
 from becqubit.analysis import _toy_nodes
@@ -39,11 +40,13 @@ from becqubit.engine import (
     QMAX,
     RATE_RTOL,
     _NODES,
+    _WEIGHTS,
     _converged,
     _energy_reduced,
     _fft_length,
     _node_set,
     _NodeSet,
+    _null_rule_error,
     _spectral_node_set,
     _uniform_transform,
     fit_exponent_values,
@@ -190,13 +193,14 @@ class TestRate:
         assert got == pytest.approx(301.3205749954081, rel=1e-9)
 
     def test_quadrature_doubling_invariance(self, rng):
-        # doubling the panel count moves gamma by less than 1e-9 relative
+        # doubling the panel count moves gamma by less than 1e-9 relative;
+        # _converged returns refine 1, so the doubled rule is refine 2
         for _ in range(20):
             cfg = random_config(rng)
             m = model_from_config(cfg)
             t_red = float(rng.uniform(0.05, 30.0))
             base = _converged(partial(_node_set, m), t_red, "rate", "rate")
-            doubled = _node_set(m, t_red, refine=1).rate_at(t_red)
+            doubled = _node_set(m, t_red, refine=2).rate_at(t_red)
             assert doubled == pytest.approx(base, rel=1e-9, abs=1e-30)
 
     @pytest.mark.parametrize("evaluate", [_NodeSet.rate_at, _NodeSet.gamma_at])
@@ -286,6 +290,71 @@ class TestRate:
             assert decoherence(m2, s * m2.t0) == pytest.approx(
                 decoherence(m1, s * m1.t0), rel=1e-9
             )
+
+
+def _recording(node_set, levels):
+    """node_set, appending each refine level it is asked for to levels."""
+
+    def build(s, refine):
+        levels.append(refine)
+        return node_set(s, refine)
+
+    return build
+
+
+class TestNullRuleCertificate:
+    def test_null_rules_vanish_below_degree_12(self):
+        # null rule j is zero on every polynomial of degree below j, so a
+        # smooth enough integrand has an estimate of zero
+        x = np.concatenate([-1.0 + (_NODES + 1.0) / 2.0, _NODES])  # two panels
+        for degree in range(12):
+            terms = np.tile(_WEIGHTS, 2) * x**degree
+            assert _null_rule_error(terms, 0.0) <= 1e-14
+
+    def test_tail_that_does_not_decay_is_never_accepted(self):
+        # P_15 alone at the nodes: E1 > 0 = E2, and E1 is far above the floor
+        terms = _WEIGHTS * np.polynomial.legendre.legval(_NODES, [0.0] * 15 + [1.0])
+        assert _null_rule_error(terms, 1e-12) == math.inf
+        # the same tail at the rounding level of the floor is accepted
+        assert _null_rule_error(1e-20 * terms, 1e-12) < 1e-12
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_rejects_whatever_doubling_rejects(self, monkeypatch, dimension):
+        # Without the grading of the first panel, a weakly coupled 1D or 2D gas
+        # has the envelope's poles at +-i sqrt(2 u_tilde) inside it, and
+        # refine 0 and refine 1 differ by up to 200 times the tolerance.
+        # Wherever that doubling test rejects refine 1, the null-rule
+        # certificate must reject it too and refine further.
+        monkeypatch.setattr(engine, "_graded", lambda edges, levels: edges)
+        m = model_from_config(default_config(dimension=dimension, a_B=1e-4 * A_RB))
+        rejected = []
+        for s in (1.0, 50.0, 700.0):
+            for kind, evaluate in (("rate", _NodeSet.rate_at), ("gamma", _NodeSet.gamma_at)):
+                refined = _node_set(m, s, 1)
+                v0, v1, floor = evaluate(_node_set(m, s, 0), s), evaluate(refined, s), refined.floor(kind)
+                levels = []
+                value = _converged(_recording(partial(_node_set, m), levels), s, kind, kind)
+                if abs(v1 - v0) > max(RATE_RTOL * abs(v1), floor):
+                    rejected.append((s, kind))
+                    assert max(levels) > 1, (s, kind, levels)
+                # both certificates claim the tolerance: the value agrees with
+                # the next doubling past the last rule built to within it
+                # (the worst seen is a quarter of it)
+                reference = evaluate(_node_set(m, s, max(levels) + 1), s)
+                assert abs(value - reference) <= max(RATE_RTOL * abs(reference), floor), (s, kind)
+        assert rejected  # the gate is not vacuous: 1D rejects at every time, 2D the rate at 700 t0
+
+    def test_random_draws_certify_at_refine_1(self, rng):
+        # the values are refine 1's, bit for bit, built once: no refine 0,
+        # no doubling
+        for _ in range(30):
+            m = model_from_config(random_config(rng))
+            s = float(rng.uniform(0.05, HORIZON_CAPS[m.dimension]))
+            for kind, evaluate in (("rate", _NodeSet.rate_at), ("gamma", _NodeSet.gamma_at)):
+                levels = []
+                value = _converged(_recording(partial(_node_set, m), levels), s, kind, kind)
+                assert levels == [1]
+                assert value == evaluate(_node_set(m, s, 1), s)
 
 
 class TestDecoherence:
@@ -499,8 +568,11 @@ class TestConvergenceFailure:
         ids=["rate", "rate_from_spectrum", "toy_rate"],
     )
     def test_raises_with_achieved_tolerance(self, default_model, monkeypatch, evaluate):
-        # a value that moves by a fixed fraction at every panel doubling never converges
-        monkeypatch.setattr(_NodeSet, "rate_at", lambda self, s: float(len(self.coeff)))
+        # terms that jump between neighbouring nodes fail the null-rule
+        # certificate, and a value that moves by a fixed fraction at every
+        # panel doubling (half the terms, times the node count) never converges
+        jagged = lambda self, s, kind: np.resize([0.0, 2.0], len(self.coeff)) * len(self.coeff)
+        monkeypatch.setattr(_NodeSet, "oscillation", jagged)
         with pytest.raises(ConvergenceError, match="did not converge") as info:
             evaluate(default_model)
         assert RATE_RTOL < info.value.achieved < 1.0
