@@ -241,8 +241,8 @@ class ToyModel:
 
 def _toy_nodes(toy: ToyModel, t: float, refine: int = 0):
     """engine._omega_nodes of J(omega)/omega on [0, 8 omega_c], resolved up to time t;
-    their grading at 0, where the integrand goes like t omega^s, keeps panel
-    doubling spectral for non-integer s."""
+    their grading at 0, where the integrand goes like t omega^s, keeps the
+    panel rule spectral for non-integer s."""
     density = lambda w: w ** (toy.s - 1.0) * np.exp(-((w / toy.omega_c) ** 2))
     return engine._omega_nodes(density, TOY_OMEGA_MAX_FACTOR * toy.omega_c, t, refine)
 
