@@ -41,6 +41,11 @@ on its own lines.
 A point that raises contributes its exception type and message instead; each
 line ends with how many did.
 
+After the digests, one line per group counts the adaptive values
+(engine._converged) it certified at each refine level.  A spot-check
+reference served from its cache (engine._spot_reference) counts only in the
+group that computed it.  The counts go in no digest.
+
 The BLAS thread count moves the last bits of the node sums (the measure,
 pointwise, traces and spectral groups differ between one and two threads), so
 the script sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1
@@ -48,6 +53,7 @@ where they are unset, before numpy is imported.  Two checkouts compare bit for
 bit only at equal thread counts.
 """
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -78,6 +84,7 @@ from becqubit import (  # noqa: E402
     toy_rate,
     toy_rate_trace,
 )
+from becqubit import engine  # noqa: E402
 from becqubit.dynamics import HORIZON_CAPS  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -113,11 +120,33 @@ CLI_TOY_CALLS = [
 ]
 
 
+CERTIFIED = []  # the refine level of every value engine._converged returned, in order
+
+
+def _count_levels(converged):
+    """converged, recording in CERTIFIED the last refine level node_set built."""
+
+    def counted(node_set, s, kind, failure):
+        built = []
+
+        def recording(s, refine):
+            built.append(refine)
+            return node_set(s, refine)
+
+        value = converged(recording, s, kind, failure)
+        if built:  # s = 0 builds none
+            CERTIFIED.append(built[-1])
+        return value
+
+    return counted
+
+
 class Digest:
     def __init__(self):
         self._h = hashlib.sha256()
         self.points = 0
         self.raised = 0
+        self.levels = collections.Counter()  # values certified at each refine level
 
     def add(self, value):
         data = value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode()
@@ -126,11 +155,13 @@ class Digest:
     def run(self, fn, *args):
         """Digest fn(self, *args), or the exception it raises."""
         self.points += 1
+        before = len(CERTIFIED)
         try:
             fn(self, *args)
         except Exception as exc:
             self.raised += 1
             self.add(f"{type(exc).__name__}: {exc}")
+        self.levels.update(CERTIFIED[before:])
 
     def hexdigest(self) -> str:
         return self._h.hexdigest()
@@ -199,6 +230,7 @@ def cli_call(d: Digest, argv: list[str], header: bool = True):
 
 
 def main() -> int:
+    engine._converged = _count_levels(engine._converged)
     groups = {}
 
     d = groups["crossover"] = Digest()
@@ -259,6 +291,9 @@ def main() -> int:
         print(f"{name:<12} {digest.hexdigest()}  ({digest.raised} of {digest.points} points raised)")
     runs = ", ".join(f"{dim}D " + (" ".join(f"{k}={v * 1e9:g} nm" for k, v in ov.items()) or "default") for dim, ov in CROSSOVER_RUNS)
     print(f"crossover evaluations: {evaluations} ({runs})")
+    for name, digest in groups.items():
+        levels = ", ".join(f"refine {k}: {n}" for k, n in sorted(digest.levels.items())) or "none"
+        print(f"{name:<12} certified values: {levels}")
     return 0
 
 

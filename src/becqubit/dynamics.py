@@ -50,8 +50,8 @@ class QubitState:
         if vec.shape != (3,):
             raise ValueError("bloch must be a 3-vector")
         norm = float(np.linalg.norm(vec))
-        if norm > 1.0 + 1e-12:
-            raise ValueError(f"Bloch vector norm {norm} exceeds 1")
+        if not norm <= 1.0 + 1e-12:
+            raise ValueError(f"Bloch vector norm {norm} must be at most 1")
         object.__setattr__(self, "bloch", tuple(float(x) for x in vec))
 
     @property
@@ -61,7 +61,7 @@ class QubitState:
 
 def evolve(state: QubitState, Gamma: float) -> QubitState:
     """Apply the dephasing map: populations fixed, coherences damped by e^-Gamma."""
-    if Gamma < 0:
+    if not Gamma >= 0:
         raise ValueError("Gamma must be >= 0")
     damp = math.exp(-Gamma)
     bx, by, bz = state.bloch
@@ -94,8 +94,12 @@ def information_flux(
     """sigma(t) = dD/dt for the evolved pair, via the closed form.
 
     D(t) = 0.5 sqrt(dperp^2 e^-2Gamma + dz^2) gives
-    sigma = -gamma(t) dperp^2 e^-2Gamma / (4 D); traces are interpolated at t.
+    sigma = -gamma(t) dperp^2 e^-2Gamma / (4 D); traces are interpolated at t,
+    which must lie within both traces' time spans.
     """
+    for trace in (Gamma_trace, rate_trace):
+        if not trace.times[0] <= t <= trace.times[-1]:
+            raise ValueError(f"t = {t} s is outside the trace span [{trace.times[0]}, {trace.times[-1]}] s")
     Gamma = float(np.interp(t, Gamma_trace.times, Gamma_trace.Gamma))
     gamma = float(np.interp(t, rate_trace.times, rate_trace.gamma))
     dperp, dz = _pair_separations(pair)
@@ -250,7 +254,7 @@ def measure(
 
     def refine(t_lo: float, t_hi: float) -> float:
         nodes = engine._node_set(model, t_hi / model.t0)
-        negative = lambda t: nodes.rate_at(t / model.t0) < 0.0
+        negative = lambda t: nodes.value(t / model.t0, "rate") < 0.0
         lo_negative = negative(t_lo)
         close = lambda lo, hi: hi - lo <= 1e-10 * max(abs(hi), 1e-300)
         lo, hi, _ = _bisect(lambda t: negative(t) != lo_negative, t_lo, t_hi, close)

@@ -5,12 +5,11 @@ f(q) = q^(D-1) W_D(q*ell) exp(-q^2/2) / (q^2/2 + u_tilde)  (reduced units)
 times an oscillatory factor built from the Bogoliubov phase E(q)*t.  They are
 evaluated with composite 16-node Gauss-Legendre panels (_gauss_legendre) sized
 so that no panel sees more than half an oscillation of the phase.  _converged
-takes the sum at twice that panel count (refine 1) and certifies it to
-RATE_RTOL with null rules on its own panels (_null_rule_error); a sum they
-reject is refined by panel doubling until stable.  The same certificate and
-loop serve the rates of an omega-variable spectrum, whose panels follow one
-rule (_omega_nodes): rate_from_spectrum over J_eff and the toy spectrum in
-analysis.
+takes the sum at twice, four times, ... that panel count (refine 1, 2, ...) and
+returns the first one that null rules on its own panels (_null_rule_error)
+certify to RATE_RTOL.  The same certificate serves the rates of an
+omega-variable spectrum, whose panels follow one rule (_omega_nodes):
+rate_from_spectrum over J_eff and the toy spectrum in analysis.
 
 The wavenumber integral is truncated at q = QMAX/tau where the Gaussian factor
 is below e^-32 ~ 1.3e-14 of its peak, negligible against RATE_RTOL.
@@ -59,7 +58,8 @@ _NULL_RULES = np.polynomial.legendre.legvander(_NODES, GL_NODES - 1)[:, : GL_NOD
 
 
 class ConvergenceError(RuntimeError):
-    """Quadrature failed to reach the requested tolerance at max refinement."""
+    """Quadrature failed to reach the requested tolerance at max refinement;
+    achieved is the relative change between its last two refine levels."""
 
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved relative tolerance {achieved:.3e})")
@@ -152,7 +152,7 @@ def _envelope(model: ReducedModel, q):
 
 @dataclass(frozen=True)
 class _NodeSet:
-    """Cached quadrature nodes for repeated evaluations up to a fixed time."""
+    """Quadrature nodes of one integrand, for every time up to the one they were built for."""
 
     coeff: np.ndarray  # weight * envelope, all >= 0
     energy: np.ndarray  # phase frequency at each node: E(q) in E0 units, or omega
@@ -165,11 +165,9 @@ class _NodeSet:
         half = np.sin(0.5 * self.energy * s)
         return 2.0 * half * half / self.energy
 
-    def rate_at(self, s: float) -> float:
-        return float(self.coeff @ self.oscillation(s, "rate"))
-
-    def gamma_at(self, s: float) -> float:
-        return float(self.coeff @ self.oscillation(s, "gamma"))
+    def value(self, s: float, kind: str) -> float:
+        """The integral of kind 'rate' or 'gamma' at time s over these nodes."""
+        return float(self.coeff @ self.oscillation(s, kind))
 
     def envelope_bound(self, kind: str) -> float:
         """Upper bound on |integral|: the oscillatory factor is at most 1 (rate)
@@ -216,34 +214,27 @@ def _null_rule_error(terms: np.ndarray, floor: float) -> float:
 
 def _converged(node_set, s: float, kind: str, failure: str) -> float:
     """The integral of kind 'rate' or 'gamma' (_NodeSet.oscillation) at finite
-    time s >= 0 over node_set(s, refine), converged to RATE_RTOL.
-
-    The value is that of node_set(s, 1).  It is accepted when the null-rule
-    estimate of its panels (_null_rule_error) is within RATE_RTOL of it or
-    below the floor of that node set, under which a difference is
-    cancellation noise.  Otherwise node_set(s, 0) is built and the panels are
-    doubled until consecutive values agree to the same tolerance, up to
-    MAX_REFINE; the later of the two is returned."""
+    time s >= 0, converged to RATE_RTOL: the value of node_set(s, refine) for
+    the first refine = 1, 2, ..., MAX_REFINE whose null-rule estimate
+    (_null_rule_error) is within RATE_RTOL of it or below the floor of that
+    node set, under which a difference is cancellation noise.  If none is,
+    ConvergenceError(failure) carries the relative change between the last
+    two levels."""
     if not 0.0 <= s < math.inf:
         raise ValueError("t must be >= 0 and finite")
     if s == 0.0:
         return 0.0
-    nodes = node_set(s, 1)
-    floor = nodes.floor(kind)
-    terms = nodes.oscillation(s, kind)
-    cur = float(nodes.coeff @ terms)
-    terms *= nodes.coeff
-    if _null_rule_error(terms, floor) <= max(RATE_RTOL * abs(cur), floor):
-        return cur
-    del nodes, terms  # freed before the doubling builds more node sets
-    evaluate = _NodeSet.rate_at if kind == "rate" else _NodeSet.gamma_at
-    prev, refine = evaluate(node_set(s, 0), s), 1
-    while abs(cur - prev) > max(RATE_RTOL * abs(cur), floor):
-        if refine == MAX_REFINE:
-            raise ConvergenceError(failure, abs(cur - prev) / max(abs(cur), floor, 1e-300))
-        refine += 1
-        prev, cur = cur, evaluate(node_set(s, refine), s)
-    return cur
+    prev = value = math.nan
+    for refine in range(1, MAX_REFINE + 1):
+        nodes = node_set(s, refine)
+        floor = nodes.floor(kind)
+        terms = nodes.oscillation(s, kind)
+        prev, value = value, float(nodes.coeff @ terms)
+        terms *= nodes.coeff
+        if _null_rule_error(terms, floor) <= max(RATE_RTOL * abs(value), floor):
+            return value
+        del nodes, terms  # freed before the next level is built
+    raise ConvergenceError(failure, abs(value - prev) / max(abs(value), floor, 1e-300))
 
 
 def _pointwise(model: ReducedModel, s: float, kind: str) -> float:

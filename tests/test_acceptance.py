@@ -88,7 +88,7 @@ def _segment_integral(model, t_lo, t_hi, n=16):
     scale = model.A_tilde / model.t0
 
     def f(x):
-        return scale * nodes.rate_at(x / model.t0) if x > 0 else 0.0
+        return scale * nodes.value(x / model.t0, "rate") if x > 0 else 0.0
 
     def simpson(npts):
         xs = np.linspace(t_lo, t_hi, npts)
@@ -124,7 +124,7 @@ def test_criterion_6_oracle_equivalence(rng):
         model = model_from_config(random_config(rng))
         s = float(rng.uniform(0.05, 30.0))
         base = _converged(partial(_node_set, model), s, "rate", "rate")
-        doubled = _node_set(model, s, refine=2).rate_at(s)
+        doubled = _node_set(model, s, refine=2).value(s, "rate")
         scale = max(abs(base), 1e-12 * _node_set(model, s).envelope_bound("rate"))
         worst = max(worst, abs(doubled - base) / scale)
     print(f"criterion 6b: worst doubling rel change = {worst:.2e}")

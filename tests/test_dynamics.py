@@ -46,8 +46,9 @@ def bloch_vectors():
 
 class TestQubitState:
     def test_norm_cap(self):
-        with pytest.raises(ValueError):
-            QubitState((1.0, 1.0, 0.0))
+        for bloch in ((1.0, 1.0, 0.0), (math.nan, 0.0, 0.0)):
+            with pytest.raises(ValueError):
+                QubitState(bloch)
 
     def test_valid(self):
         QubitState((0.6, 0.0, 0.8))
@@ -68,8 +69,13 @@ class TestEvolve:
         assert evolve(s, 3.7).bloch == s.bloch
 
     def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            evolve(QubitState((1.0, 0.0, 0.0)), -0.1)
+        for Gamma in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                evolve(QubitState((1.0, 0.0, 0.0)), Gamma)
+
+    def test_full_dephasing(self):
+        # Gamma = inf removes the coherences and keeps the population
+        assert evolve(QubitState((0.6, 0.0, 0.8)), math.inf).bloch == (0.0, 0.0, 0.8)
 
     @given(state=bloch_vectors(), Gamma=st.floats(min_value=0.0, max_value=50.0))
     @settings(max_examples=150, deadline=None)
@@ -152,6 +158,15 @@ class TestInformationFlux:
             fd = (8.0 * (D(t + h) - D(t - h)) - (D(t + 2 * h) - D(t - 2 * h))) / (12.0 * h)
             sigma = information_flux(pair, Gt, rt, t)
             assert sigma == pytest.approx(fd, rel=1e-6)
+
+    def test_time_outside_traces_rejected(self, default_traces):
+        # np.interp would clamp to the trace end and return that flux
+        Gt, rt = default_traces
+        pair = (QubitState((0.8, 0.0, 0.1)), QubitState((-0.5, 0.3, 0.2)))
+        for t in (1.5 * float(rt.times[-1]), -1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError, match="outside the trace span"):
+                information_flux(pair, Gt, rt, t)
+        assert information_flux(pair, Gt, rt, float(rt.times[-1])) != 0.0
 
     def test_coincident_states_rejected(self, default_traces):
         Gt, rt = default_traces

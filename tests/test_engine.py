@@ -32,7 +32,7 @@ from becqubit import (
 )
 import becqubit
 from becqubit import engine
-from becqubit.constants import A_RB, HBAR
+from becqubit.constants import A_RB, BOHR_RADIUS, HBAR
 from becqubit.dynamics import HORIZON_CAPS
 from becqubit.analysis import _toy_nodes
 from becqubit.engine import (
@@ -200,24 +200,23 @@ class TestRate:
             m = model_from_config(cfg)
             t_red = float(rng.uniform(0.05, 30.0))
             base = _converged(partial(_node_set, m), t_red, "rate", "rate")
-            doubled = _node_set(m, t_red, refine=2).rate_at(t_red)
+            doubled = _node_set(m, t_red, refine=2).value(t_red, "rate")
             assert doubled == pytest.approx(base, rel=1e-9, abs=1e-30)
 
-    @pytest.mark.parametrize("evaluate", [_NodeSet.rate_at, _NodeSet.gamma_at])
-    def test_late_time_doubling_invariance(self, rng, evaluate):
+    @pytest.mark.parametrize("kind", ["rate", "gamma"])
+    def test_late_time_doubling_invariance(self, rng, kind):
         # at the horizon caps and beyond, the unrefined panels are already
         # converged: one doubling moves the value by at most the tolerance.
         # The weakly coupled 1D and 2D gases have the envelope's poles at
         # +-i sqrt(2 u_tilde) within the first panel's reach, which holds
         # only because _node_set grades that panel toward 0
-        kind = "rate" if evaluate is _NodeSet.rate_at else "gamma"
         configs = [random_config(rng) for _ in range(4)]
         configs += [default_config(dimension=d, a_B=f * A_RB) for d in (1, 2) for f in (1e-3, 1e-4)]
         for cfg in configs:
             m = model_from_config(cfg)
             for s in (400.0, 710.0, 1420.0):
                 base, doubled = (_node_set(m, s, refine) for refine in (0, 1))
-                v0, v1 = evaluate(base, s), evaluate(doubled, s)
+                v0, v1 = base.value(s, kind), doubled.value(s, kind)
                 assert abs(v1 - v0) <= max(RATE_RTOL * abs(v1), base.floor(kind))
 
     def test_default_3d_node_set_size(self, default_model):
@@ -329,32 +328,49 @@ class TestNullRuleCertificate:
         m = model_from_config(default_config(dimension=dimension, a_B=1e-4 * A_RB))
         rejected = []
         for s in (1.0, 50.0, 700.0):
-            for kind, evaluate in (("rate", _NodeSet.rate_at), ("gamma", _NodeSet.gamma_at)):
+            for kind in ("rate", "gamma"):
                 refined = _node_set(m, s, 1)
-                v0, v1, floor = evaluate(_node_set(m, s, 0), s), evaluate(refined, s), refined.floor(kind)
+                v0, v1, floor = _node_set(m, s, 0).value(s, kind), refined.value(s, kind), refined.floor(kind)
                 levels = []
                 value = _converged(_recording(partial(_node_set, m), levels), s, kind, kind)
                 if abs(v1 - v0) > max(RATE_RTOL * abs(v1), floor):
                     rejected.append((s, kind))
                     assert max(levels) > 1, (s, kind, levels)
-                # both certificates claim the tolerance: the value agrees with
+                # the certificate claims the tolerance: the value agrees with
                 # the next doubling past the last rule built to within it
                 # (the worst seen is a quarter of it)
-                reference = evaluate(_node_set(m, s, max(levels) + 1), s)
+                reference = _node_set(m, s, max(levels) + 1).value(s, kind)
                 assert abs(value - reference) <= max(RATE_RTOL * abs(reference), floor), (s, kind)
         assert rejected  # the gate is not vacuous: 1D rejects at every time, 2D the rate at 700 t0
 
+    def test_rejected_refine_1_returns_next_certified_level(self):
+        # a 2D rate at 631 t0, from the benchmark's pointwise draws: the
+        # null-rule estimate is 1.06 times the floor at refine 1 and 0.02
+        # times it at refine 2, whose value is returned as built, with no
+        # refine 0
+        cfg = default_config(
+            dimension=2,
+            a_B=0.126672689224115 * A_RB,
+            a_AB=74.20423780537595 * BOHR_RADIUS,
+            L=43.88990272171874e-9,
+            tau=33.13069120961204e-9,
+            n0=1.1808412412743392e20,
+        )
+        m, s, levels = model_from_config(cfg), 630.9692330372336, []
+        value = _converged(_recording(partial(_node_set, m), levels), s, "rate", "rate")
+        assert levels == [1, 2]
+        assert value == _node_set(m, s, 2).value(s, "rate")
+
     def test_random_draws_certify_at_refine_1(self, rng):
-        # the values are refine 1's, bit for bit, built once: no refine 0,
-        # no doubling
+        # the values are refine 1's, bit for bit, built once: no further level
         for _ in range(30):
             m = model_from_config(random_config(rng))
             s = float(rng.uniform(0.05, HORIZON_CAPS[m.dimension]))
-            for kind, evaluate in (("rate", _NodeSet.rate_at), ("gamma", _NodeSet.gamma_at)):
+            for kind in ("rate", "gamma"):
                 levels = []
                 value = _converged(_recording(partial(_node_set, m), levels), s, kind, kind)
                 assert levels == [1]
-                assert value == evaluate(_node_set(m, s, 1), s)
+                assert value == _node_set(m, s, 1).value(s, kind)
 
 
 class TestDecoherence:
@@ -569,8 +585,9 @@ class TestConvergenceFailure:
     )
     def test_raises_with_achieved_tolerance(self, default_model, monkeypatch, evaluate):
         # terms that jump between neighbouring nodes fail the null-rule
-        # certificate, and a value that moves by a fixed fraction at every
-        # panel doubling (half the terms, times the node count) never converges
+        # certificate at every refine level; the value (half the terms, times
+        # the node count) moves by a fixed fraction at every panel doubling,
+        # and achieved reports that move
         jagged = lambda self, s, kind: np.resize([0.0, 2.0], len(self.coeff)) * len(self.coeff)
         monkeypatch.setattr(_NodeSet, "oscillation", jagged)
         with pytest.raises(ConvergenceError, match="did not converge") as info:
