@@ -42,9 +42,11 @@ A point that raises contributes its exception type and message instead; each
 line ends with how many did.
 
 After the digests, one line per group counts the adaptive values
-(engine._converged) it certified at each refine level.  A spot-check
-reference served from its cache (engine._spot_reference) counts only in the
-group that computed it.  The counts go in no digest.
+(engine._converged) it certified at each refine level, and the line after it
+the nodes of every node set _converged built for them, rejected levels
+included.  A spot-check reference served from its cache
+(engine._spot_reference) counts only in the group that computed it.  The
+counts go in no digest.
 
 The BLAS thread count moves the last bits of the node sums (the measure,
 pointwise, traces and spectral groups differ between one and two threads), so
@@ -121,17 +123,21 @@ CLI_TOY_CALLS = [
 
 
 CERTIFIED = []  # the refine level of every value engine._converged returned, in order
+NODES = []  # the node count of every node set engine._converged built, in order
 
 
 def _count_levels(converged):
-    """converged, recording in CERTIFIED the last refine level node_set built."""
+    """converged, recording in CERTIFIED the last refine level node_set built
+    and in NODES the size of every node set it built."""
 
     def counted(node_set, s, kind, failure):
         built = []
 
         def recording(s, refine):
             built.append(refine)
-            return node_set(s, refine)
+            nodes = node_set(s, refine)
+            NODES.append(len(nodes.coeff))
+            return nodes
 
         value = converged(recording, s, kind, failure)
         if built:  # s = 0 builds none
@@ -147,6 +153,7 @@ class Digest:
         self.points = 0
         self.raised = 0
         self.levels = collections.Counter()  # values certified at each refine level
+        self.nodes = 0  # nodes of the node sets built for them
 
     def add(self, value):
         data = value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode()
@@ -155,13 +162,14 @@ class Digest:
     def run(self, fn, *args):
         """Digest fn(self, *args), or the exception it raises."""
         self.points += 1
-        before = len(CERTIFIED)
+        before, built = len(CERTIFIED), len(NODES)
         try:
             fn(self, *args)
         except Exception as exc:
             self.raised += 1
             self.add(f"{type(exc).__name__}: {exc}")
         self.levels.update(CERTIFIED[before:])
+        self.nodes += sum(NODES[built:])
 
     def hexdigest(self) -> str:
         return self._h.hexdigest()
@@ -294,6 +302,7 @@ def main() -> int:
     for name, digest in groups.items():
         levels = ", ".join(f"refine {k}: {n}" for k, n in sorted(digest.levels.items())) or "none"
         print(f"{name:<12} certified values: {levels}")
+        print(f"{name:<12} nodes built: {digest.nodes}")
     return 0
 
 

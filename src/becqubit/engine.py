@@ -4,10 +4,12 @@ The integrals all share the same structure: a smooth positive envelope
 f(q) = q^(D-1) W_D(q*ell) exp(-q^2/2) / (q^2/2 + u_tilde)  (reduced units)
 times an oscillatory factor built from the Bogoliubov phase E(q)*t.  They are
 evaluated with composite 16-node Gauss-Legendre panels (_gauss_legendre) sized
-so that no panel sees more than half an oscillation of the phase.  _converged
-takes the sum at twice, four times, ... that panel count (refine 1, 2, ...) and
-returns the first one that null rules on its own panels (_null_rule_error)
-certify to RATE_RTOL.  The same certificate serves the rates of an
+so that no panel sees more than half an oscillation of the phase, and split
+finer near q = 0, where the envelope's poles at +-i sqrt(2 u_tilde) come close
+to the real axis.  _converged takes the sum on these panels (refine 0), then
+at twice, four times, ... their count (refine 1, 2, ...), and returns the
+first one that null rules on its own panels (_null_rule_error) certify to
+RATE_RTOL.  The same certificate serves the rates of an
 omega-variable spectrum, whose panels follow one rule (_omega_nodes):
 rate_from_spectrum over J_eff and the toy spectrum in analysis.
 
@@ -133,11 +135,17 @@ def _gauss_legendre(edges: np.ndarray):
     return nodes, weights
 
 
-def _graded(edges: np.ndarray, levels: int) -> np.ndarray:
+def _graded(edges: np.ndarray, levels: int, width: float = math.inf, reach: float = 0.0) -> np.ndarray:
     """edges with the first panel graded geometrically toward 0 (down to 2^-levels
-    of its width) for integrands that are not smooth at 0 or vary faster there."""
+    of its width) for integrands that are not smooth at 0 or vary faster there,
+    then every panel that starts below reach split evenly into parts no wider
+    than width."""
     graded = edges[1] * 0.5 ** np.arange(levels, -1, -1.0)
-    return np.concatenate(([0.0], graded[:-1], edges[1:]))
+    edges = np.concatenate(([0.0], graded[:-1], edges[1:]))
+    near = int(np.searchsorted(edges[:-1], reach))  # the panels starting below reach
+    parts = np.ceil(np.diff(edges[: near + 1]) / width).astype(int)
+    split = [np.linspace(a, b, k, endpoint=False) for a, b, k in zip(edges[:near], edges[1 : near + 1], parts)]
+    return np.concatenate(split + [edges[near:]])
 
 
 def _envelope(model: ReducedModel, q):
@@ -183,16 +191,19 @@ class _NodeSet:
 
 def _node_set(model: ReducedModel, t_red: float, refine: int = 0) -> _NodeSet:
     """Nodes on [0, QMAX] for t' <= t_red: panel edges at equal steps, at most pi
-    (half an oscillation), of the phase E(q) t_red + (2 ell + 2) q, read off a table;
-    the first panel graded until its innermost part is no wider than the distance
-    sqrt(2 u_tilde) of the envelope's poles from the real axis."""
+    (half an oscillation), of the phase E(q) t_red + (2 ell + 2) q, read off a table.
+    The envelope and E(q) have poles and branch points at +-i p, p = sqrt(2 u_tilde):
+    the first panel is graded until its innermost part is no wider than p, and
+    every panel that starts below 2 p is split to a width of at most p 2^-(2+refine),
+    which leaves the degree-15 Legendre tail of refine 0 below the floor there.  A
+    p below 2^-GRADED_LEVELS of the first panel is resolved as if it were that."""
     q = np.linspace(0.0, QMAX, 20001)
     phase = _energy_reduced(q, model.u_tilde) * t_red + (2.0 * model.ell + 2.0) * q
     n_p = max(32, math.ceil(phase[-1] / math.pi)) << refine
     edges = np.interp(np.linspace(0.0, phase[-1], n_p + 1), phase, q)
-    pole = math.sqrt(2.0 * model.u_tilde)
-    levels = min(GRADED_LEVELS, max(0, math.ceil(math.log2(edges[1] / pole)))) if pole else 0
-    q, w = _gauss_legendre(_graded(edges, levels))
+    pole = max(math.sqrt(2.0 * model.u_tilde), edges[1] * 0.5**GRADED_LEVELS) if model.u_tilde else 0.0
+    levels = max(0, math.ceil(math.log2(edges[1] / pole))) if pole else 0
+    q, w = _gauss_legendre(_graded(edges, levels, pole * 0.5 ** (2 + refine), 2.0 * pole))
     return _NodeSet(coeff=w * _envelope(model, q), energy=_energy_reduced(q, model.u_tilde))
 
 
@@ -215,7 +226,7 @@ def _null_rule_error(terms: np.ndarray, floor: float) -> float:
 def _converged(node_set, s: float, kind: str, failure: str) -> float:
     """The integral of kind 'rate' or 'gamma' (_NodeSet.oscillation) at finite
     time s >= 0, converged to RATE_RTOL: the value of node_set(s, refine) for
-    the first refine = 1, 2, ..., MAX_REFINE whose null-rule estimate
+    the first refine = 0, 1, ..., MAX_REFINE whose null-rule estimate
     (_null_rule_error) is within RATE_RTOL of it or below the floor of that
     node set, under which a difference is cancellation noise.  If none is,
     ConvergenceError(failure) carries the relative change between the last
@@ -225,7 +236,7 @@ def _converged(node_set, s: float, kind: str, failure: str) -> float:
     if s == 0.0:
         return 0.0
     prev = value = math.nan
-    for refine in range(1, MAX_REFINE + 1):
+    for refine in range(MAX_REFINE + 1):
         nodes = node_set(s, refine)
         floor = nodes.floor(kind)
         terms = nodes.oscillation(s, kind)

@@ -14,7 +14,7 @@ from becqubit import (
     QubitState,
     build_decoherence_trace,
     build_rate_trace,
-    classify_config,
+    classify,
     decoherence,
     default_config,
     evolve,
@@ -48,8 +48,8 @@ def test_criterion_2_crossover_ordering(crossovers):
 
 @pytest.mark.parametrize("L_nm", [50, 75, 100])
 def test_criterion_3_L_robustness(L_nm):
-    markovian = classify_config(default_config(a_B=0.02 * A_RB, L=L_nm * 1e-9))
-    nonmarkovian = classify_config(default_config(a_B=0.05 * A_RB, L=L_nm * 1e-9))
+    markovian = classify(model_from_config(default_config(a_B=0.02 * A_RB, L=L_nm * 1e-9)))
+    nonmarkovian = classify(model_from_config(default_config(a_B=0.05 * A_RB, L=L_nm * 1e-9)))
     print(f"criterion 3 [L={L_nm}nm]: 0.02 a_Rb -> {markovian}, 0.05 a_Rb -> {nonmarkovian}")
     assert markovian == "Markovian"
     assert nonmarkovian == "NonMarkovian"
@@ -117,8 +117,8 @@ def test_criterion_6_oracle_equivalence(rng):
     print(f"criterion 6a: worst Gamma closed-vs-integrated rel diff = {worst:.2e}")
     assert worst < 1e-6
 
-    # panel doubling moves the rate by less than 1e-9 relative; the
-    # converged value is refine 1's, so the doubled rule is refine 2
+    # panel refinement moves the rate by less than 1e-9 relative; the
+    # converged value is refine 0's, compared with refine 2
     worst = 0.0
     for _ in range(20):
         model = model_from_config(random_config(rng))

@@ -10,7 +10,7 @@ from becqubit import (
     BracketError,
     ConvergenceError,
     ToyModel,
-    classify_config,
+    classify,
     default_config,
     find_crossover,
     measure,
@@ -28,19 +28,19 @@ from becqubit.dynamics import HORIZON_CAPS
 
 class TestClassify:
     def test_free_gas_3d_markovian(self):
-        assert classify_config(default_config(a_B=0.0)) == "Markovian"
+        assert classify(model_from_config(default_config(a_B=0.0))) == "Markovian"
 
     def test_default_3d_nonmarkovian(self):
-        assert classify_config(default_config()) == "NonMarkovian"
+        assert classify(model_from_config(default_config())) == "NonMarkovian"
 
     def test_1d_below_crossover_markovian(self):
         cfg = default_config(dimension=1, a_B=0.1 * A_RB)
-        assert classify_config(cfg) == "Markovian"
+        assert classify(model_from_config(cfg)) == "Markovian"
 
     def test_monotone_in_scattering_length_3d(self):
         # once information back-flow sets in it persists up to the cap
         labels = [
-            classify_config(default_config(a_B=f * A_RB))
+            classify(model_from_config(default_config(a_B=f * A_RB)))
             for f in (0.01, 0.02, 0.05, 0.2, 1.0, 2.0, 3.0)
         ]
         flips = sum(1 for a, b in zip(labels[:-1], labels[1:]) if a != b)

@@ -32,7 +32,7 @@ from becqubit import (
 )
 import becqubit
 from becqubit import engine
-from becqubit.constants import A_RB, BOHR_RADIUS, HBAR
+from becqubit.constants import A_RB, HBAR
 from becqubit.dynamics import HORIZON_CAPS
 from becqubit.analysis import _toy_nodes
 from becqubit.engine import (
@@ -193,8 +193,9 @@ class TestRate:
         assert got == pytest.approx(301.3205749954081, rel=1e-9)
 
     def test_quadrature_doubling_invariance(self, rng):
-        # doubling the panel count moves gamma by less than 1e-9 relative;
-        # _converged returns refine 1, so the doubled rule is refine 2
+        # refining the panels moves gamma by less than 1e-9 relative;
+        # _converged returns refine 0, compared here with the rule two
+        # doublings finer, refine 2
         for _ in range(20):
             cfg = random_config(rng)
             m = model_from_config(cfg)
@@ -240,6 +241,27 @@ class TestRate:
                 phase = _energy_reduced(edges, m.u_tilde) * s + (2.0 * m.ell + 2.0) * edges
                 assert edges[-1] == pytest.approx(QMAX, rel=1e-12)
                 assert np.diff(phase).max() <= math.pi + 1e-4
+
+    def test_near_pole_panels_narrow_with_each_refine(self, rng, monkeypatch):
+        # every panel that starts below twice the distance sqrt(2 u_tilde) of
+        # the envelope's poles from the real axis is at most pole 2^-(2+r)
+        # wide at refine r: each level resolves the poles at least twice as
+        # finely as the one before, over the same reach
+        built = []
+        gauss_legendre = engine._gauss_legendre
+        monkeypatch.setattr(engine, "_gauss_legendre", lambda edges: built.append(edges) or gauss_legendre(edges))
+        configs = [random_config(rng) for _ in range(4)]
+        configs += [default_config(dimension=d, a_B=f * A_RB) for d in (1, 2) for f in (1e-3, 1e-4)]
+        for cfg in configs:
+            m = model_from_config(cfg)
+            pole = math.sqrt(2.0 * m.u_tilde)
+            for s in (0.3, 7.0, 400.0, 1420.0):
+                for refine in range(4):
+                    built.clear()
+                    _node_set(m, s, refine)
+                    (edges,) = built
+                    near = edges[:-1] < 2.0 * pole
+                    assert np.diff(edges)[near].max() <= pole * 0.5 ** (2 + refine) * (1.0 + 1e-12)
 
     def test_prefactor_scaling(self, rng):
         # a_AB -> c a_AB scales gamma by c^2 and preserves the sign pattern
@@ -324,7 +346,7 @@ class TestNullRuleCertificate:
         # refine 0 and refine 1 differ by up to 200 times the tolerance.
         # Wherever that doubling test rejects refine 1, the null-rule
         # certificate must reject it too and refine further.
-        monkeypatch.setattr(engine, "_graded", lambda edges, levels: edges)
+        monkeypatch.setattr(engine, "_graded", lambda edges, *args: edges)
         m = model_from_config(default_config(dimension=dimension, a_B=1e-4 * A_RB))
         rejected = []
         for s in (1.0, 50.0, 700.0):
@@ -343,34 +365,26 @@ class TestNullRuleCertificate:
                 assert abs(value - reference) <= max(RATE_RTOL * abs(reference), floor), (s, kind)
         assert rejected  # the gate is not vacuous: 1D rejects at every time, 2D the rate at 700 t0
 
-    def test_rejected_refine_1_returns_next_certified_level(self):
-        # a 2D rate at 631 t0, from the benchmark's pointwise draws: the
-        # null-rule estimate is 1.06 times the floor at refine 1 and 0.02
-        # times it at refine 2, whose value is returned as built, with no
-        # refine 0
-        cfg = default_config(
-            dimension=2,
-            a_B=0.126672689224115 * A_RB,
-            a_AB=74.20423780537595 * BOHR_RADIUS,
-            L=43.88990272171874e-9,
-            tau=33.13069120961204e-9,
-            n0=1.1808412412743392e20,
-        )
-        m, s, levels = model_from_config(cfg), 630.9692330372336, []
+    def test_rejected_refine_0_returns_next_certified_level(self):
+        # the 3D free gas at its horizon cap: with no poles there is no
+        # grading, and the first panel, where the phase E(q) t ~ q^2 t / 2 is
+        # not yet linear in q, fails the null rules at refine 0.  Refine 1
+        # certifies, and its value is returned as built
+        m, s, levels = model_from_config(default_config(a_B=0.0)), HORIZON_CAPS[3], []
         value = _converged(_recording(partial(_node_set, m), levels), s, "rate", "rate")
-        assert levels == [1, 2]
-        assert value == _node_set(m, s, 2).value(s, "rate")
+        assert levels == [0, 1]
+        assert value == _node_set(m, s, 1).value(s, "rate")
 
-    def test_random_draws_certify_at_refine_1(self, rng):
-        # the values are refine 1's, bit for bit, built once: no further level
+    def test_random_draws_certify_at_refine_0(self, rng):
+        # the values are refine 0's, bit for bit, built once: no further level
         for _ in range(30):
             m = model_from_config(random_config(rng))
             s = float(rng.uniform(0.05, HORIZON_CAPS[m.dimension]))
             for kind in ("rate", "gamma"):
                 levels = []
                 value = _converged(_recording(partial(_node_set, m), levels), s, kind, kind)
-                assert levels == [1]
-                assert value == _node_set(m, s, 1).value(s, kind)
+                assert levels == [0]
+                assert value == _node_set(m, s, 0).value(s, kind)
 
 
 class TestDecoherence:
