@@ -341,8 +341,9 @@ class TestNullRuleCertificate:
 
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_rejects_whatever_doubling_rejects(self, monkeypatch, dimension):
-        # Without the grading of the first panel, a weakly coupled 1D or 2D gas
-        # has the envelope's poles at +-i sqrt(2 u_tilde) inside it, and
+        # Without the grading and the near-pole split of the first panels, a
+        # weakly coupled 1D or 2D gas has the envelope's poles at
+        # +-i sqrt(2 u_tilde) inside the first panel's reach, and
         # refine 0 and refine 1 differ by up to 200 times the tolerance.
         # Wherever that doubling test rejects refine 1, the null-rule
         # certificate must reject it too and refine further.
