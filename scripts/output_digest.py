@@ -44,9 +44,12 @@ line ends with how many did.
 After the digests, one line per group counts the adaptive values
 (engine._converged) it certified at each refine level, and the line after it
 the nodes of every node set _converged built for them, rejected levels
-included.  A spot-check reference served from its cache
-(engine._spot_reference) counts only in the group that computed it.  The
-counts go in no digest.
+included, each node set once: measure's interval ends keep their refine
+levels and serve several values from one set.  A spot-check reference served
+from its cache (engine._spot_reference) counts only in the group that
+computed it.  A group that solved interval ends (dynamics._sign_change) has
+one more line: the interior ends (not clipped at the window's end) and the
+rate evaluations they took.  The counts go in no digest.
 
 The BLAS thread count moves the last bits of the node sums (the measure,
 pointwise, traces and spectral groups differ between one and two threads), so
@@ -62,6 +65,7 @@ import io
 import itertools
 import os
 import sys
+import weakref
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -86,7 +90,7 @@ from becqubit import (  # noqa: E402
     toy_rate,
     toy_rate_trace,
 )
-from becqubit import engine  # noqa: E402
+from becqubit import dynamics, engine  # noqa: E402
 from becqubit.dynamics import HORIZON_CAPS  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -123,12 +127,14 @@ CLI_TOY_CALLS = [
 
 
 CERTIFIED = []  # the refine level of every value engine._converged returned, in order
-NODES = []  # the node count of every node set engine._converged built, in order
+NODES = []  # the node count of every distinct node set engine._converged was given, in order
+SEEN = {}  # id -> weak reference of each node set counted in NODES; a freed one's id may be reused
+ENDS = []  # the rate evaluations of every interior interval end dynamics._sign_change solved
 
 
 def _count_levels(converged):
-    """converged, recording in CERTIFIED the last refine level node_set built
-    and in NODES the size of every node set it built."""
+    """converged, recording in CERTIFIED the last refine level node_set gave
+    and in NODES the size of every node set it gave that none gave before."""
 
     def counted(node_set, s, kind, failure):
         built = []
@@ -136,13 +142,30 @@ def _count_levels(converged):
         def recording(s, refine):
             built.append(refine)
             nodes = node_set(s, refine)
-            NODES.append(len(nodes.coeff))
+            ref = SEEN.get(id(nodes))
+            if ref is None or ref() is not nodes:
+                SEEN[id(nodes)] = weakref.ref(nodes)
+                NODES.append(len(nodes.coeff))
             return nodes
 
         value = converged(recording, s, kind, failure)
         if built:  # s = 0 builds none
             CERTIFIED.append(built[-1])
         return value
+
+    return counted
+
+
+def _count_evaluations(sign_change):
+    """sign_change, recording in ENDS how many values each solve over a
+    nonempty bracket evaluated."""
+
+    def counted(value, lo, hi):
+        tested = []
+        t = sign_change(lambda t: tested.append(t) or value(t), lo, hi)
+        if lo < hi:
+            ENDS.append(len(tested))
+        return t
 
     return counted
 
@@ -154,6 +177,7 @@ class Digest:
         self.raised = 0
         self.levels = collections.Counter()  # values certified at each refine level
         self.nodes = 0  # nodes of the node sets built for them
+        self.ends = []  # rate evaluations of each interior interval end
 
     def add(self, value):
         data = value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode()
@@ -162,7 +186,7 @@ class Digest:
     def run(self, fn, *args):
         """Digest fn(self, *args), or the exception it raises."""
         self.points += 1
-        before, built = len(CERTIFIED), len(NODES)
+        before, built, ends = len(CERTIFIED), len(NODES), len(ENDS)
         try:
             fn(self, *args)
         except Exception as exc:
@@ -170,6 +194,7 @@ class Digest:
             self.add(f"{type(exc).__name__}: {exc}")
         self.levels.update(CERTIFIED[before:])
         self.nodes += sum(NODES[built:])
+        self.ends += ENDS[ends:]
 
     def hexdigest(self) -> str:
         return self._h.hexdigest()
@@ -239,6 +264,7 @@ def cli_call(d: Digest, argv: list[str], header: bool = True):
 
 def main() -> int:
     engine._converged = _count_levels(engine._converged)
+    dynamics._sign_change = _count_evaluations(dynamics._sign_change)
     groups = {}
 
     d = groups["crossover"] = Digest()
@@ -303,6 +329,8 @@ def main() -> int:
         levels = ", ".join(f"refine {k}: {n}" for k, n in sorted(digest.levels.items())) or "none"
         print(f"{name:<12} certified values: {levels}")
         print(f"{name:<12} nodes built: {digest.nodes}")
+        if digest.ends:
+            print(f"{name:<12} interior ends: {len(digest.ends)}, rate evaluations: {sum(digest.ends)}")
     return 0
 
 

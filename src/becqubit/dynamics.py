@@ -10,7 +10,8 @@ Classification and measurement share one scan: scan() takes the window
 (scan_window: the caller's t_max, or by default the cap HORIZON_CAPS[dimension]
 * t0), traces gamma on a uniform grid over it and keeps the negative cells
 deeper than the noise guard (negative_cells).  analysis.classify reads the
-cells; measure refines them.  analysis.find_crossover scans every candidate on
+cells; measure solves each for its ends, and Gamma there, with certified values
+on one node set per end.  analysis.find_crossover scans every candidate on
 one window, by the same default.
 
 The caps are pinned to the window the published crossover values imply (see
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
@@ -203,20 +205,44 @@ def _bisect(upper, lo: float, hi: float, done, propose=None) -> tuple[float, flo
     return lo, hi, steps
 
 
-def _intervals_from_cells(times, cells, refine_root) -> list[NegativeInterval]:
-    """Refine the sign changes of each cell; one open at the end is clipped there."""
-    intervals = []
-    for k0, k1 in cells:
-        # the rate vanishes at t=0, so a negative run never starts at the origin
-        a = refine_root(times[k0 - 1], times[k0]) if k0 > 0 else float(times[0])
-        if k1 < len(times):
-            b = refine_root(times[k1 - 1], times[k1])
-            clipped = False
+def _sign_change(value, lo: float, hi: float) -> float:
+    """Where value(t) changes sign in [lo, hi], to relative tolerance 1e-10 (lo
+    itself when lo == hi).  _bisect tests the Illinois regula-falsi point, moved
+    a quarter of the tolerance toward the farther end so that two steps close
+    the bracket once it is that close; the midpoint once the bracket lags plain
+    bisection's by eight halvings, so at most nine steps more are made."""
+    tol = lambda t: 1e-10 * max(abs(t), 1e-300)
+    f, last, kept, width = {}, (lo, hi), None, hi - lo  # f: values tested, halved at an end kept twice in a row
+
+    def upper(t):
+        f[t] = value(t)
+        return (f[t] < 0.0) != (f[lo] < 0.0)
+
+    def propose(a, b):
+        nonlocal last, kept, width
+        if not f:
+            f[a], f[b] = value(a), value(b)
+        elif (stay := a if a == last[0] else b) == kept:
+            f[stay] *= 0.5
         else:
-            b = float(times[-1])
-            clipped = True
-        intervals.append(NegativeInterval(a=float(a), b=float(b), clipped=clipped))
-    return intervals
+            kept = stay
+        last, width = (a, b), 0.5 * width
+        x = a + (b - a) * f[a] / (f[a] - f[b]) if f[a] != f[b] else 0.5 * (a + b)
+        x += 0.25 * tol(b) if x - a < b - x else -0.25 * tol(b)
+        return x if b - a <= 256.0 * width else None
+
+    lo, hi, _ = _bisect(upper, lo, hi, lambda lo, hi: hi - lo <= tol(hi), propose)
+    return 0.5 * (lo + hi)
+
+
+def _intervals_from_cells(times, cells, end) -> list[NegativeInterval]:
+    """The sign changes end(t_lo, t_hi) around each cell; a cell still open at the
+    window's end is clipped there, at end(t, t).  No cell starts at t = 0."""
+    last = len(times) - 1
+    return [
+        NegativeInterval(end(times[k0 - 1], times[k0]), end(times[k1 - 1], times[min(k1, last)]), k1 > last)
+        for k0, k1 in cells
+    ]
 
 
 @dataclass(frozen=True)
@@ -248,22 +274,24 @@ def measure(
     t_max: float | None = None,
     grid_size: int = DEFAULT_GRID,
 ) -> NonMarkovianityResult:
-    """Refine the scan's cells into negative intervals (ends to relative time
-    tolerance 1e-10 on cached nodes) and evaluate the back-flow measures."""
+    """Refine the scan's cells into negative intervals and evaluate the back-flow
+    measures.  Each end (_sign_change) and Gamma there are certified values
+    (engine._converged) on node sets built for the cell's upper grid time alone,
+    refine 0 and only the finer levels the certificate asks for."""
     sc = scan(model, t_max, grid_size)
+    Gamma = {}  # at each end
 
-    def refine(t_lo: float, t_hi: float) -> float:
-        nodes = engine._node_set(model, t_hi / model.t0)
-        negative = lambda t: nodes.value(t / model.t0, "rate") < 0.0
-        lo_negative = negative(t_lo)
-        close = lambda lo, hi: hi - lo <= 1e-10 * max(abs(hi), 1e-300)
-        lo, hi, _ = _bisect(lambda t: negative(t) != lo_negative, t_lo, t_hi, close)
-        return 0.5 * (lo + hi)
+    def end(t_lo: float, t_hi: float) -> float:
+        nodes = cache(partial(engine._node_set, model, t_hi / model.t0))  # refine level -> nodes for every t <= t_hi
+        value = lambda t, kind: engine._converged(
+            lambda s, refine: nodes(refine), t / model.t0, kind, f"{kind} quadrature did not converge at t={t} s"
+        )
+        t = _sign_change(lambda t: value(t, "rate"), t_lo, t_hi)
+        Gamma[t] = model.A_tilde * value(t, "gamma")
+        return t
 
-    intervals = _intervals_from_cells(sc.trace.times, sc.cells, refine)
-    exponents = [
-        (engine.decoherence(model, iv.a), engine.decoherence(model, iv.b)) for iv in intervals
-    ]
+    intervals = _intervals_from_cells(sc.trace.times.tolist(), sc.cells, end)
+    exponents = [(Gamma[iv.a], Gamma[iv.b]) for iv in intervals]
     if intervals:
         Ga, Gb = exponents[0]
         N = (math.exp(-Gb) - math.exp(-Ga)) / (1.0 - math.exp(-Ga))

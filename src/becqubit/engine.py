@@ -196,13 +196,13 @@ def _node_set(model: ReducedModel, t_red: float, refine: int = 0) -> _NodeSet:
     the first panel is graded until its innermost part is no wider than p, and
     every panel that starts below 2 p is split to a width of at most p 2^-(2+refine),
     which leaves the degree-15 Legendre tail of refine 0 below the floor there.  A
-    p below 2^-GRADED_LEVELS of the first panel is resolved as if it were that."""
+    p below 2^-GRADED_LEVELS of the first panel, the free gas's 0 included, is resolved as if it were that."""
     q = np.linspace(0.0, QMAX, 20001)
     phase = _energy_reduced(q, model.u_tilde) * t_red + (2.0 * model.ell + 2.0) * q
     n_p = max(32, math.ceil(phase[-1] / math.pi)) << refine
     edges = np.interp(np.linspace(0.0, phase[-1], n_p + 1), phase, q)
-    pole = max(math.sqrt(2.0 * model.u_tilde), edges[1] * 0.5**GRADED_LEVELS) if model.u_tilde else 0.0
-    levels = max(0, math.ceil(math.log2(edges[1] / pole))) if pole else 0
+    pole = max(math.sqrt(2.0 * model.u_tilde), edges[1] * 0.5**GRADED_LEVELS)
+    levels = max(0, math.ceil(math.log2(edges[1] / pole)))
     q, w = _gauss_legendre(_graded(edges, levels, pole * 0.5 ** (2 + refine), 2.0 * pole))
     return _NodeSet(coeff=w * _envelope(model, q), energy=_energy_reduced(q, model.u_tilde))
 
@@ -450,7 +450,7 @@ def _group_slope(q, u_tilde):
     out = np.empty_like(np.asarray(q, dtype=float))
     q = np.asarray(q, dtype=float)
     small = E < 1e-280
-    out[small] = math.sqrt(0.5 * u_tilde) if u_tilde > 0 else 0.0
+    out[small] = math.sqrt(0.5 * u_tilde)
     qb = q[~small]
     out[~small] = qb * (qb * qb + u_tilde) / (2.0 * E[~small])
     return out

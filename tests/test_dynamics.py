@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from becqubit.dynamics import (
     UndefinedFluxError,
     _bisect,
     _intervals_from_cells,
+    _sign_change,
     negative_cells,
     pair_distance,
     sample_bloch_pairs,
@@ -204,17 +206,26 @@ class TestNegativeIntervals:
     def test_synthetic_sine_interval(self):
         times = np.linspace(0.0, 2.0 * math.pi, 2000)
         cells = negative_cells(np.sin(times))
-
-        def refine(lo, hi):
-            lo_negative = math.sin(lo) < 0.0
-            upper = lambda t: (math.sin(t) < 0.0) != lo_negative
-            lo, hi, _ = _bisect(upper, lo, hi, lambda lo, hi: hi - lo <= 1e-10 * abs(hi))
-            return 0.5 * (lo + hi)
-
-        ivs = _intervals_from_cells(times, cells, refine)
+        ivs = _intervals_from_cells(times, cells, partial(_sign_change, math.sin))
         assert len(ivs) == 1
         assert ivs[0].a == pytest.approx(math.pi, abs=1e-8)
         assert ivs[0].b == pytest.approx(2.0 * math.pi, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "fn, root",
+        [(lambda t: math.expm1(200.0 * (t - 0.9)), 0.9), (lambda t: t**25 - 0.3**25, 0.3)],
+        ids=["exp", "power"],
+    )
+    def test_sign_change_steps_stay_near_bisection(self, fn, root):
+        # Strongly curved over the bracket, so the chord's root stays on one
+        # side for many steps; the Illinois halving and the lag bound keep the
+        # evaluations within ten of plain bisection's
+        lo, hi = 0.1, 1.0
+        tested = []
+        t = _sign_change(lambda t: tested.append(t) or fn(t), lo, hi)
+        _, _, steps = _bisect(lambda t: fn(t) > 0.0, lo, hi, lambda lo, hi: hi - lo <= 1e-10 * abs(hi))
+        assert len(tested) <= 1 + steps + 10  # bisection evaluates lo and each midpoint
+        assert t == pytest.approx(root, rel=1e-10)
 
     @pytest.mark.parametrize("boundary", [0.1, 0.0])
     def test_bisect_ends_at_adjacent_floats(self, boundary):
@@ -326,25 +337,72 @@ class TestMeasure:
             NonMarkovianityResult(N=0.5, N_blp=0.1, intervals=(), t_max_used=1.0)
 
     @pytest.mark.parametrize(
-        "dimension, a_B_over_aRb, ends, exponents",
+        "dimension, a_B_over_aRb, ends, bisected, exponents",
         [
-            (3, 1.0, (8.189953871624983e-05, 0.0008934455282880492),
+            (3, 1.0, (8.189953871534078e-05, 0.0008934455283137887),
+             (8.189953871624983e-05, 0.0008934455282880492),
              (0.014102736653044038, 0.013357798862466982)),
-            (2, 0.15, (0.0015999351300812759, 0.0019675286538349533),
+            (2, 0.15, (0.001599935130105316, 0.0019675286538349533),
+             (0.0015999351300812759, 0.0019675286538349533),
              (0.12243294002839561, 0.12224319704332408)),
-            (1, 0.3, (0.002401295744827445, 0.0039350573076699065),
+            (1, 0.3, (0.002401295744914633, 0.0039350573076699065),
+             (0.002401295744827445, 0.0039350573076699065),
              (0.30451149081445217, 0.30014709865571904)),
         ],
     )
-    def test_interval_ends_pinned(self, dimension, a_B_over_aRb, ends, exponents):
-        # bit-level anchors: the root bisection's midpoints and stop test are fixed.
-        # The exponents are decoherence at exactly those ends; their last bits
-        # follow the BLAS thread count of the node sums, hence rel=1e-12 there.
+    def test_interval_ends_pinned(self, dimension, a_B_over_aRb, ends, bisected, exponents):
+        # ends are the solve's at one BLAS thread.  It reads the rate's values,
+        # whose last bits follow the BLAS thread count of the node sums: at the
+        # 3D end near 0.89 ms, where the rate is below its floor over 1e-11 of
+        # the time, two threads move it by 1.3e-11 relative, hence rel=5e-11.
+        # bisected are the ends plain bisection of the refine-0 rate gave; the
+        # solve must stay within its 1e-10 tolerance of them.  Gamma at an end is
+        # the certified value on that end's own node sets, bit for bit, and the
+        # exponents (decoherence at the bisected ends) agree with it to 1e-12.
         model = model_from_config(default_config(dimension=dimension, a_B=a_B_over_aRb * A_RB))
         res = measure(model)
-        assert [(iv.a, iv.b) for iv in res.intervals] == [ends]
-        assert res.diagnostics["gamma_exponents"] == [tuple(decoherence(model, t) for t in ends)]
+        (iv,) = res.intervals
+        assert (iv.a, iv.b) == pytest.approx(ends, rel=5e-11)
+        assert (iv.a, iv.b) == pytest.approx(bisected, rel=1e-10)
+        times = scan(model).trace.times
+        own = []
+        for t in (iv.a, iv.b):
+            s_hi = times[np.searchsorted(times, t)] / model.t0  # the cell's upper grid time
+            own.append(model.A_tilde * engine._converged(lambda s, r: engine._node_set(model, s_hi, r), t / model.t0, "gamma", ""))
+        assert res.diagnostics["gamma_exponents"] == [tuple(own)]
         assert res.diagnostics["gamma_exponents"][0] == pytest.approx(exponents, rel=1e-12)
+
+    def test_one_refine_0_node_set_per_end(self, default_model, monkeypatch):
+        # the scan's spot references are cached by the first scan, so every node
+        # set measure builds is an end's: refine 0 at its cell's upper grid time
+        times = scan(default_model).trace.times
+        built, real = [], engine._node_set
+        monkeypatch.setattr(engine, "_node_set", lambda model, s, refine=0: built.append((s, refine)) or real(model, s, refine))
+        res = measure(default_model)
+        ends = [t for iv in res.intervals for t in (iv.a, iv.b)]
+        assert len(ends) == 2
+        assert built == [(times[np.searchsorted(times, t)] / default_model.t0, 0) for t in ends]
+
+    @pytest.mark.parametrize("dimension, a_B_over_aRb", [(1, 0.3), (2, 0.3), (3, 0.2)])
+    def test_escalated_ends_agree_with_refine_2_bisection(self, monkeypatch, dimension, a_B_over_aRb):
+        # Without the grading and the near-pole split, the ends' refine-0 node
+        # sets fail the certificate and measure builds refine 1 or 2.  Each end
+        # must still agree with plain bisection of the refine-2 rate in its cell.
+        monkeypatch.setattr(engine, "_graded", lambda edges, *args: edges)
+        monkeypatch.setattr(engine, "_spot_reference", lru_cache(maxsize=32)(engine._pointwise))  # none kept past the test
+        model = model_from_config(default_config(dimension=dimension, a_B=a_B_over_aRb * A_RB))
+        times = scan(model).trace.times
+        built, real = [], engine._node_set
+        monkeypatch.setattr(engine, "_node_set", lambda model, s, refine=0: built.append(refine) or real(model, s, refine))
+        res = measure(model)
+        assert res.intervals and max(built) >= 1
+        for t in [t for iv in res.intervals for t in (iv.a, iv.b) if t < times[-1]]:
+            k = int(np.searchsorted(times, t))
+            nodes = real(model, times[k] / model.t0, 2)
+            negative = lambda t: nodes.value(t / model.t0, "rate") < 0.0
+            lo_negative = negative(times[k - 1])
+            lo, hi, _ = _bisect(lambda t: negative(t) != lo_negative, times[k - 1], times[k], lambda lo, hi: hi - lo <= 1e-10 * hi)
+            assert t == pytest.approx(0.5 * (lo + hi), rel=1e-10)
 
     def test_explicit_horizon_recorded(self, default_model):
         res = measure(default_model, t_max=120.0 * default_model.t0)

@@ -366,15 +366,27 @@ class TestNullRuleCertificate:
                 assert abs(value - reference) <= max(RATE_RTOL * abs(reference), floor), (s, kind)
         assert rejected  # the gate is not vacuous: 1D rejects at every time, 2D the rate at 700 t0
 
-    def test_rejected_refine_0_returns_next_certified_level(self):
-        # the 3D free gas at its horizon cap: with no poles there is no
-        # grading, and the first panel, where the phase E(q) t ~ q^2 t / 2 is
-        # not yet linear in q, fails the null rules at refine 0.  Refine 1
-        # certifies, and its value is returned as built
+    def test_rejected_refine_0_returns_next_certified_level(self, monkeypatch):
+        # the 3D free gas at its horizon cap on ungraded panels: the first
+        # panel, where the phase E(q) t ~ q^2 t / 2 is not yet linear in q,
+        # fails the null rules at refine 0.  Refine 1 certifies, and its value
+        # is returned as built
+        monkeypatch.setattr(engine, "_graded", lambda edges, *args: edges)
         m, s, levels = model_from_config(default_config(a_B=0.0)), HORIZON_CAPS[3], []
         value = _converged(_recording(partial(_node_set, m), levels), s, "rate", "rate")
         assert levels == [0, 1]
         assert value == _node_set(m, s, 1).value(s, "rate")
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_free_gas_certifies_at_refine_0(self, dimension):
+        # no poles: the first panel is graded down to the pole floor,
+        # 2^-GRADED_LEVELS of its width, and split there as for a_B > 0
+        m = model_from_config(default_config(dimension=dimension, a_B=0.0))
+        for s in (0.3, 7.0, 90.0, 400.0, HORIZON_CAPS[dimension]):
+            for kind in ("rate", "gamma"):
+                levels = []
+                _converged(_recording(partial(_node_set, m), levels), s, kind, kind)
+                assert levels == [0], (s, kind)
 
     def test_random_draws_certify_at_refine_0(self, rng):
         # the values are refine 0's, bit for bit, built once: no further level
