@@ -10,9 +10,8 @@ Classification and measurement share one scan: scan() takes the window
 (scan_window: the caller's t_max, or by default the cap HORIZON_CAPS[dimension]
 * t0), traces gamma on a uniform grid over it and keeps the negative cells
 deeper than the noise guard (negative_cells).  analysis.classify reads the
-cells; measure solves each for its ends, and Gamma there, with certified values
-on one node set per end.  analysis.find_crossover scans every candidate on
-one window, by the same default.
+cells; measure solves their ends, certified on one node set per end.
+analysis.find_crossover scans every candidate on one window, by the same default.
 
 The caps are pinned to the window the published crossover values imply (see
 README notes): a_crit scales as 1/T, so the window sets the crossover.  A dip
@@ -206,38 +205,44 @@ def _bisect(upper, lo: float, hi: float, done, propose=None) -> tuple[float, flo
 
 
 def _sign_change(value, lo: float, hi: float) -> float:
-    """Where value(t) changes sign in [lo, hi], to relative tolerance 1e-10 (lo
-    itself when lo == hi).  _bisect tests the Illinois regula-falsi point, moved
-    a quarter of the tolerance toward the farther end so that two steps close
-    the bracket once it is that close; the midpoint once the bracket lags plain
-    bisection's by eight halvings, so at most nine steps more are made."""
+    """Where value(t) changes sign in [lo, hi] to relative tolerance 1e-10 (lo
+    itself when lo == hi): the midpoint of the cell, on the grid of plain
+    bisection's last step, whose ends differ in sign.  Each _bisect step tests
+    the grid point next to the Illinois regula-falsi point on the side of the
+    farther end, so two steps close the bracket once the chord is that close;
+    or the grid's midpoint, once the bracket lags bisection's by eight
+    halvings.  On the grid, the answer follows from signs, not last bits."""
     tol = lambda t: 1e-10 * max(abs(t), 1e-300)
-    f, last, kept, width = {}, (lo, hi), None, hi - lo  # f: values tested, halved at an end kept twice in a row
+    # f: value at each time tested, halved at an end kept twice in a row; h: the grid's step
+    f, last, kept, width, h = {}, (lo, hi), None, hi - lo, hi - lo
 
     def upper(t):
         f[t] = value(t)
         return (f[t] < 0.0) != (f[lo] < 0.0)
 
     def propose(a, b):
-        nonlocal last, kept, width
+        nonlocal last, kept, width, h
         if not f:
             f[a], f[b] = value(a), value(b)
+            h *= 0.5 ** math.ceil(math.log2(h / tol(a)))
         elif (stay := a if a == last[0] else b) == kept:
             f[stay] *= 0.5
         else:
             kept = stay
         last, width = (a, b), 0.5 * width
-        x = a + (b - a) * f[a] / (f[a] - f[b]) if f[a] != f[b] else 0.5 * (a + b)
-        x += 0.25 * tol(b) if x - a < b - x else -0.25 * tol(b)
-        return x if b - a <= 256.0 * width else None
+        ja, jb = round((a - lo) / h), round((b - lo) / h)
+        chord = f[a] != f[b] and b - a <= 256.0 * width
+        x = ja + (jb - ja) * f[a] / (f[a] - f[b]) if chord else 0.5 * (ja + jb)
+        j = math.floor(x) if x - ja > jb - x else math.ceil(x)
+        return lo + min(max(j, ja + 1), jb - 1) * h
 
     lo, hi, _ = _bisect(upper, lo, hi, lambda lo, hi: hi - lo <= tol(hi), propose)
     return 0.5 * (lo + hi)
 
 
 def _intervals_from_cells(times, cells, end) -> list[NegativeInterval]:
-    """The sign changes end(t_lo, t_hi) around each cell; a cell still open at the
-    window's end is clipped there, at end(t, t).  No cell starts at t = 0."""
+    """Each cell's ends end(t_lo, t_hi), k0 >= 1 as gamma(0) = 0 is not negative;
+    a cell still open at the window's end is clipped there, end(t, t)."""
     last = len(times) - 1
     return [
         NegativeInterval(end(times[k0 - 1], times[k0]), end(times[k1 - 1], times[min(k1, last)]), k1 > last)
