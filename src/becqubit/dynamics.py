@@ -224,7 +224,7 @@ def _sign_change(value, lo: float, hi: float) -> float:
         nonlocal last, kept, width, h
         if not f:
             f[a], f[b] = value(a), value(b)
-            h *= 0.5 ** math.ceil(math.log2(h / tol(a)))
+            h *= 0.5 ** math.ceil(math.log2(h / tol(b)))
         elif (stay := a if a == last[0] else b) == kept:
             f[stay] *= 0.5
         else:
