@@ -12,7 +12,6 @@ from becqubit import (
     build_decoherence_trace,
     build_rate_trace,
     classify,
-    decoherence,
     default_config,
     evolve,
     information_flux,
