@@ -23,6 +23,10 @@ Groups:
   toy        toy_critical_s at omega_c 1 and 10
   spectral   rate_from_spectrum in 1D/2D/3D, free gas and default coupling, at
              0.5, 5 and 60 t0
+  spectral_density
+             effective_spectral_density on the same six models: J bytes and
+             s_fit on 200-point geometric grids over five decades from
+             SPECTRAL_DENSITY_LOWS (rad/s).  A change to J alone shows here.
   toy_spectral
              toy_rate_trace at the CLI defaults and at s 1, 2.5 and 3; toy_rate
              at a few times
@@ -34,7 +38,7 @@ Groups:
              stay.  A change that only touches the manifest shows on cli alone.
   cli_toy    the same as cli for the toy calls in CLI_TOY_CALLS
 
-The model groups (crossover to spectral, cli, cli_rows) and the toy groups
+The model groups (crossover to spectral_density, cli, cli_rows) and the toy groups
 (toy_spectral, cli_toy) are apart, so a change to the toy's quadrature shows
 on its own lines.
 
@@ -80,6 +84,7 @@ from becqubit import (  # noqa: E402
     build_rate_trace,
     decoherence,
     default_config,
+    effective_spectral_density,
     find_crossover,
     measure,
     model_from_config,
@@ -99,6 +104,7 @@ from conftest import random_config  # noqa: E402
 N_DRAWS = 30
 SEED = 20120731  # the seed of the tests' rng fixture
 POINTWISE_T0 = (0.3, 7.0, 90.0, 400.0, 710.0, 1420.0)
+SPECTRAL_DENSITY_LOWS = (1e-5, 1e-3, 1e2)  # rad/s
 
 CLI_CALLS = [
     ["rate"],
@@ -252,6 +258,12 @@ def spectral_point(d: Digest, model, t_t0: float):
     d.add(rate_from_spectrum(model, t_t0 * model.t0))
 
 
+def spectral_density(d: Digest, model, omega_lo: float):
+    profile = effective_spectral_density(model, np.geomspace(omega_lo, 1e5 * omega_lo, 200))
+    d.add(profile.J)
+    d.add(profile.s_fit)
+
+
 def cli_call(d: Digest, argv: list[str], header: bool = True):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -301,6 +313,12 @@ def main() -> int:
         for config in (default_config(dimension=dimension, a_B=0.0), default_config(dimension=dimension)):
             for t_t0 in (0.5, 5.0, 60.0):
                 d.run(spectral_point, model_from_config(config), t_t0)
+
+    d = groups["spectral_density"] = Digest()
+    for dimension in (1, 2, 3):
+        for config in (default_config(dimension=dimension, a_B=0.0), default_config(dimension=dimension)):
+            for omega_lo in SPECTRAL_DENSITY_LOWS:
+                d.run(spectral_density, model_from_config(config), omega_lo)
 
     d = groups["toy_spectral"] = Digest()
     for s in (2.0, 1.0, 2.5, 3.0):

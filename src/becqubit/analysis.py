@@ -187,7 +187,9 @@ class SweepTable:
 
 
 def sweep(axis: str, values, config: PhysicalConfig) -> SweepTable:
-    """measure() at every point of the axis grid, continuing past failures.
+    """measure() at every point of the axis grid.  A point's typed failure
+    (ValueError, ConvergenceError) becomes its error row and the sweep goes on;
+    any other exception propagates.
 
     The grid is checked before any point is measured: it must be non-empty and
     strictly increasing."""
@@ -212,7 +214,7 @@ def sweep(axis: str, values, config: PhysicalConfig) -> SweepTable:
             diag = dict(result.diagnostics)
             diag.update(status="ok", t_max_used=result.t_max_used, N_blp=result.N_blp)
             diag_col.append(diag)
-        except Exception as exc:  # per-point failure must not kill the sweep
+        except (ValueError, engine.ConvergenceError) as exc:
             N_col.append(math.nan)
             diag_col.append({"status": "error", "error": f"{type(exc).__name__}: {exc}"})
     return SweepTable(

@@ -278,10 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, config=True, **kwargs):
+    def add(name, fn, config=True, window=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         if config:
             _add_config_flags(p)
+        if window:
+            p.add_argument("--t-max-t0", type=float, help="scan or trace window in units of t0 (default: the cap)")
         p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
         p.set_defaults(fn=fn)
         return p
@@ -290,17 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
         ("rate", "decay rate gamma(t) trace as CSV"),
         ("decoherence", "decoherence exponent and coherence trace"),
     ):
-        p = add(name, cmd_trace, help=about)
-        p.add_argument("--t-max-t0", type=float, help="trace window in units of t0 (default: the cap)")
+        p = add(name, cmd_trace, window=True, help=about)
         p.add_argument("--points", type=int, default=500)
 
-    p = add("measure", cmd_measure, help="non-Markovianity measures and intervals")
-    p.add_argument("--t-max-t0", type=float)
+    add("measure", cmd_measure, window=True, help="non-Markovianity measures and intervals")
 
-    p = add("crossover", cmd_crossover, help="critical scattering length, bracketed to a width")
+    p = add("crossover", cmd_crossover, window=True, help="critical scattering length, bracketed to a width")
     p.add_argument("--tol-arb", type=float, default=1e-3, help="bracket width in a_Rb units")
     p.add_argument("--a-b-max-arb", type=float, help="override the bracket top (a_Rb units)")
-    p.add_argument("--t-max-t0", type=float, help="classification window in units of t0 (default: the cap)")
 
     p = add("sweep", cmd_sweep, help="N along an a_B or L grid")
     p.add_argument("--axis", choices=("a_B", "L"), required=True)
@@ -321,10 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--critical", action="store_true", help="bisect s_crit instead of tracing")
     p.add_argument("--tol", type=float, default=1e-2)
 
-    p = add("verify-pairs", cmd_verify_pairs, help="optimal-pair property over random states")
+    p = add("verify-pairs", cmd_verify_pairs, window=True, help="optimal-pair property over random states")
     p.add_argument("--pairs", type=int, default=1000)
     p.add_argument("--seed", type=int, default=dynamics.DEFAULT_SEED)
-    p.add_argument("--t-max-t0", type=float)
 
     return parser
 

@@ -174,7 +174,8 @@ class _NodeSet:
         return 2.0 * half * half / self.energy
 
     def value(self, s: float, kind: str) -> float:
-        """The integral of kind 'rate' or 'gamma' at time s over these nodes."""
+        """The integral of kind 'rate' or 'gamma' at time s over these nodes: the
+        tests' reference sum; nothing in the package calls it."""
         return float(self.coeff @ self.oscillation(s, kind))
 
     def envelope_bound(self, kind: str) -> float:
@@ -444,34 +445,21 @@ class SpectralProfile:
     fit_window: tuple[float, float]
 
 
-def _group_slope(q, u_tilde):
-    """dE/dq in reduced units; -> sqrt(u/2) as q -> 0 (phonon sound speed)."""
-    E = _energy_reduced(q, u_tilde)
-    out = np.empty_like(np.asarray(q, dtype=float))
-    q = np.asarray(q, dtype=float)
-    small = E < 1e-280
-    out[small] = math.sqrt(0.5 * u_tilde)
-    qb = q[~small]
-    out[~small] = qb * (qb * qb + u_tilde) / (2.0 * E[~small])
-    return out
-
-
 def spectral_density_values(model: ReducedModel, omegas: np.ndarray) -> np.ndarray:
     """J_eff on a physical angular-frequency grid (rad/s)."""
     omegas = np.asarray(omegas, dtype=float)
     if np.any(omegas <= 0):
         raise ValueError("omega grid must be positive")
-    # invert hbar*omega = E(q): eps = (-u + sqrt(u^2 + 4 E^2))/2, q = sqrt(2 eps)
-    E_red = omegas * HBAR / model.E0
+    # invert hbar omega = E(q) with no subtraction: with r = sqrt(u + hypot(u, 2E)),
+    # q^2/2 = 2 E^2/r^2, so q = 2E/r and dE/dq = q (q^2 + u)/(2E) = (q^2 + u)/r
+    E = omegas * HBAR / model.E0
     u = model.u_tilde
-    eps = 0.5 * (-u + np.sqrt(u * u + 4.0 * E_red * E_red))
-    q = np.sqrt(2.0 * eps)
-    envelope = _envelope(model, q)
-    slope = _group_slope(q, u)
+    r = np.sqrt(u + np.hypot(u, 2.0 * E))
+    q = 2.0 * E / r
     # gamma_SI(t) = (A_tilde/t0) int dq env(q) sin(E(q) t/t0); substituting
     # omega = E(q) E0/hbar turns it into int domega J sin(omega t) with
-    # J = A_tilde env/slope (the hbar/(E0 t0) factor is exactly 1).
-    return model.A_tilde * envelope / slope
+    # J = A_tilde env/(dE/dq) (the hbar/(E0 t0) factor is exactly 1).
+    return model.A_tilde * _envelope(model, q) * r / (q * q + u)
 
 
 def effective_spectral_density(

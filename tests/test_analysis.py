@@ -294,6 +294,15 @@ class TestSweep:
         assert table.diagnostics[1]["status"] == "ok"
         assert table.N[1] == 0.0
 
+    def test_programming_errors_propagate(self, monkeypatch):
+        # only typed failures (ValueError, ConvergenceError) become error rows
+        def broken(*args, **kwargs):
+            raise TypeError("not a numerical failure")
+
+        monkeypatch.setattr(analysis.dynamics, "measure", broken)
+        with pytest.raises(TypeError, match="not a numerical failure"):
+            sweep("a_B", [0.0], default_config())
+
     def test_subcritical_3d_grid_all_zero(self):
         # every point below the 3D crossover leaks information only
         values = [f * A_RB for f in (0.01, 0.02, 0.03)]

@@ -180,6 +180,19 @@ class TestSpectrumCommand:
         assert all(float(r[1]) >= 0.0 for r in rows)
         assert "# s_fit=" in out
 
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_phonon_regime_exponent(self, capsys, dimension):
+        # far below u E0/hbar, J ~ q^(D+1) while dE/dq -> sqrt(u/2): s = D + 1
+        code, out, err = run_cli(
+            capsys, "spectrum", "--dimension", str(dimension), "--omega-min-per-s", "1e-5",
+            "--omega-max-per-s", "1", "--points", "50",
+        )
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert all(float(r[1]) > 0.0 for r in rows)
+        s_fit = float(next(ln for ln in out.splitlines() if ln.startswith("# s_fit=")).split("=")[1].split()[0])
+        assert s_fit == pytest.approx(dimension + 1, abs=1e-6)
+
 
 class TestToyCommand:
     def test_critical(self, capsys):

@@ -43,6 +43,7 @@ from becqubit.engine import (
     _WEIGHTS,
     _converged,
     _energy_reduced,
+    _envelope,
     _fft_length,
     _node_set,
     _NodeSet,
@@ -535,6 +536,37 @@ class TestSpectralDensity:
         omegas = np.geomspace(1e2, 1e7, 300)
         profile = effective_spectral_density(default_model, omegas)
         assert np.all(profile.J >= 0.0)
+
+    @staticmethod
+    def _inverted(monkeypatch, model, omegas):
+        """(J, q): spectral_density_values at omegas and the wavenumbers it gave _envelope."""
+        seen = []
+        monkeypatch.setattr(engine, "_envelope", lambda m, q: seen.append(q) or _envelope(m, q))
+        J = engine.spectral_density_values(model, omegas)
+        return J, seen[0]
+
+    SPECTRAL_MODELS = [
+        pytest.param(model_from_config(default_config(dimension=dimension, **overrides)), id=f"{dimension}D-{name}")
+        for dimension in (1, 2, 3)
+        for name, overrides in (("free", {"a_B": 0.0}), ("default", {}))
+    ]
+
+    @pytest.mark.parametrize("m", SPECTRAL_MODELS)
+    def test_inversion_round_trips_to_a_few_ulp(self, monkeypatch, m):
+        # omega t0 from 1e-15 to 1e3: far into the phonon regime, where
+        # eps = (-u + sqrt(u^2 + 4 E^2))/2 cancelled to 0, and past QMAX
+        E = np.geomspace(1e-15, 1e3, 400)
+        _, q = self._inverted(monkeypatch, m, E / m.t0)
+        E = E / m.t0 * HBAR / m.E0  # the reduced energy the inversion is given
+        np.testing.assert_allclose(_energy_reduced(q, m.u_tilde), E, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+    @pytest.mark.parametrize("m", SPECTRAL_MODELS)
+    def test_density_over_envelope_is_the_inverse_group_slope(self, monkeypatch, m):
+        # J = A_tilde envelope / E'(q); E'(q) = Im E(q + i h)/h is a complex-step
+        # derivative, free of any subtraction
+        J, q = self._inverted(monkeypatch, m, np.geomspace(1e-15, 1e2, 400) / m.t0)
+        slope = _energy_reduced(q + 1e-30j * q, m.u_tilde).imag / (1e-30 * q)
+        np.testing.assert_allclose(J * slope / (m.A_tilde * _envelope(m, q)), 1.0, rtol=1e-14, atol=0.0)
 
     def test_reconstruction_matches_rate(self, default_model):
         for s in (0.7, 4.0, 11.0):
