@@ -241,12 +241,13 @@ class ToyModel:
             raise ValueError(f"omega_c must be > 0, got {self.omega_c}")
 
 
-def _toy_nodes(toy: ToyModel, t: float, refine: int = 0):
-    """engine._omega_nodes of J(omega)/omega on [0, 8 omega_c], resolved up to time t;
-    their grading at 0, where the integrand goes like t omega^s, keeps the
-    panel rule spectral for non-integer s."""
+def _toy_nodes(toy: ToyModel, t: float, refine: int = 0, step: float | None = None):
+    """engine._omega_nodes of J(omega)/omega on [0, 8 omega_c], resolved up to time t
+    (and laid out for a uniform grid of that step, if given); their grading at
+    0, where the integrand goes like t omega^s, keeps the panel rule spectral
+    for non-integer s."""
     density = lambda w: w ** (toy.s - 1.0) * np.exp(-((w / toy.omega_c) ** 2))
-    return engine._omega_nodes(density, TOY_OMEGA_MAX_FACTOR * toy.omega_c, t, refine)
+    return engine._omega_nodes(density, TOY_OMEGA_MAX_FACTOR * toy.omega_c, t, refine, step)
 
 
 def toy_rate(toy: ToyModel, t: float) -> float:

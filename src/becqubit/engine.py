@@ -18,15 +18,19 @@ is below e^-32 ~ 1.3e-14 of its peak, negligible against RATE_RTOL.
 
 Traces on a uniform time grid t_j = j dt integrate in the energy variable,
 gamma(t) = int J(omega) sin(omega t) domega, on the node set of
-rate_from_spectrum at the end of the window (_spectral_node_set).  Its panels
-are the graded head of _omega_nodes and uniform panels of width h.  The head's
-656 nodes go by angle addition over a coarse and a fine time grid
+rate_from_spectrum at the end of the window (_spectral_node_set), laid out for
+the grid: the graded head of _omega_nodes and uniform panels of width
+h = 2 pi/(N dt), so that exp(i h dt) is an exact N-th root of unity.  The
+head's 656 nodes go by angle addition over a coarse and a fine time grid
 (_head_transform), so they need sin and cos at ~2 sqrt(n) times and two small
 matrix products instead of a sine per node and time.  On the uniform panels
-node k of panel p sits at omega_k + p h: for each k the sum over p is a
-chirp-z transform in exp(i h dt), evaluated for all 16 node indices at once
-by one FFT convolution (_uniform_transform, Bluestein) of a 2^k, 3 2^k or
-5 2^k length (_fft_length).
+node k of panel p sits at omega_k + p h, and the sum over p is a transform in
+exp(2 pi i p j/N) for all 16 node indices at once (_uniform_transform).  When
+a grid step turns the top frequency past a full cycle (omega_max dt > 2 pi, as
+in every cap scan) panel p adds into bin p mod N, and the transform is one
+real FFT of the 5-smooth length N ~ 2 (n - 1) (_fft_length); otherwise it is a
+chirp-z transform by one FFT convolution (Bluestein) with the exact chirp
+exp(i pi (p^2 mod 2N)/N).
 _uniform_trace serves the model and the toy rate trace in analysis alike: every
 trace is spot-checked (_spot_check) at its first step, its last point and its
 extremum against a pointwise reference; for the model that is the adaptive
@@ -164,6 +168,10 @@ class _NodeSet:
 
     coeff: np.ndarray  # weight * envelope, all >= 0
     energy: np.ndarray  # phase frequency at each node: E(q) in E0 units, or omega
+    # laid out for a uniform time grid of this step by _omega_nodes: its uniform
+    # panels are 2 pi/(turns step) wide; 0 for every other set
+    step: float = 0.0
+    turns: int = 0
 
     def oscillation(self, s: float, kind: str) -> np.ndarray:
         """The factor of coeff at each node: sin(E s) ('rate') or 2 sin^2(E s/2)/E
@@ -294,21 +302,35 @@ class DecoherenceTrace:
 
 
 def _fft_length(n: int) -> int:
-    """The smallest FFT length m >= n of the form 2^k, 3 2^k or 5 2^k: numpy's
-    FFT is fast on these, and m < 4n/3 where the next power of two can be 2n."""
-    return min(f << (-(-n // f) - 1).bit_length() for f in (1, 3, 5))
+    """The smallest FFT length m >= n of the form 2^a 3^b 5^c, on which numpy's
+    FFT is fast."""
+    best, odd5 = 1 << (n - 1).bit_length(), 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())  # the least odd * 2^a >= n
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def _split_phases(times: np.ndarray, E: np.ndarray):
+    """E t at the coarse times t_(aB) and at the fine times t_b, B = isqrt(n - 1) + 1
+    >= sqrt(n), so that t_(aB+b) = t_(aB) + t_b covers the n uniform times:
+    functions of the phase at every time follow by angle addition from 2 B times."""
+    n_fine = math.isqrt(len(times) - 1) + 1  # so the coarse times number at most as many
+    return np.multiply.outer(times[::n_fine], E), np.multiply.outer(times[:n_fine], E)
 
 
 def _head_transform(E: np.ndarray, c: np.ndarray, times: np.ndarray, kind: str) -> np.ndarray:
     """sum_k c_k sin(E_k t_j) ('rate') or (c_k/E_k)(1 - cos E_k t_j) ('gamma') on
-    the uniform grid times, by angle addition over t_(aB+b) = t_(aB) + t_b with
-    B ~ sqrt(len(times)): sin and cos are taken on the coarse and fine times
-    only, and the sum over k is two matrix products.  'gamma' takes
+    the uniform grid times, by angle addition over t_(aB+b) = t_(aB) + t_b
+    (_split_phases): sin and cos are taken on the coarse and fine times only,
+    and the sum over k is two matrix products.  'gamma' takes
     1 - cos(A + B) = u_A + u_B - u_A u_B + sin A sin B with u = 2 sin^2(./2),
     whose every term is O(E^2), so the weight c/E, unbounded as E -> 0, never
     multiplies a cancelling difference."""
-    n_fine = math.isqrt(len(times) - 1) + 1  # >= sqrt(len(times)), so the coarse times number at most as many
-    coarse, fine = np.multiply.outer(times[::n_fine], E), np.multiply.outer(times[:n_fine], E)
+    coarse, fine = _split_phases(times, E)
     sin_a, sin_b = np.sin(coarse), np.sin(fine)
     if kind == "rate":
         out = (sin_a * c) @ np.cos(fine).T + (np.cos(coarse) * c) @ sin_b.T
@@ -320,40 +342,51 @@ def _head_transform(E: np.ndarray, c: np.ndarray, times: np.ndarray, kind: str) 
 
 
 def _uniform_transform(nodes: _NodeSet, times: np.ndarray, kind: str) -> np.ndarray:
-    """The integral on the uniform grid times (times[0] = 0) over nodes laid out by
-    _omega_nodes: kind 'rate' sums coeff sin(E t), kind 'gamma' coeff 2 sin^2(E t/2)/E.
+    """The integral on the uniform grid times (times[0] = 0) over nodes laid out for
+    that grid by _omega_nodes: kind 'rate' sums coeff sin(E t), kind 'gamma'
+    coeff 2 sin^2(E t/2)/E.  A node set laid out for another step, or for fewer
+    than half of N = nodes.turns steps, is a ValueError.
 
     The graded head goes by angle addition (_head_transform).  On the uniform
-    panels node k of panel p is at E_k + p h, so sum_p c_pk exp(i p h t_j) is a
-    chirp-z transform in w = exp(i h dt); Bluestein's p j = (p^2 + j^2 - (j - p)^2)/2
-    makes it one FFT convolution for all k, of length _fft_length.  'gamma'
-    takes the form (c/E)(1 - cos E t) only there: on the head c/E is unbounded
-    and the two terms would cancel.
+    panels node k of panel p is at E_k + p h with h dt = 2 pi/N, so
+    sum_p c_pk exp(i p h t_j) = sum_p c_pk exp(2 pi i p j/N).  When the panels
+    run past N (the layout's omega_max dt > 2 pi), panel p adds into bin p mod N
+    and one real FFT of length N gives the sum for all k and all j < N/2.
+    Otherwise it is a chirp-z transform: Bluestein's p j = (p^2 + j^2 - (j - p)^2)/2
+    makes it one FFT convolution of length _fft_length, with the chirp
+    exp(i pi (p^2 mod 2N)/N) exact to the rounding of its angle.  exp(i E_k t_j)
+    goes by angle addition too (_split_phases), as E_k t_j <= 2 h t_max <= 2 pi.
+    'gamma' takes the form (c/E)(1 - cos E t) only on the uniform panels: on
+    the head c/E is unbounded and the two terms would cancel.
     """
+    n_points, turns = len(times), nodes.turns
+    if nodes.step != times[1] or turns < 2 * (n_points - 1):
+        raise ValueError("the node set is not laid out for this time grid (_omega_nodes given its step)")
     head = (GRADED_LEVELS + 1) * GL_NODES
     out = _head_transform(nodes.energy[:head], nodes.coeff[:head], times, kind)
     E = nodes.energy[head:].reshape(-1, GL_NODES).T  # (node index k, panel p)
     c = nodes.coeff[head:].reshape(-1, GL_NODES).T
     if kind == "gamma":
         c = c / E
-    n_panels, n_points = E.shape[1], len(times)
-    n2 = np.arange(max(n_panels, n_points)) ** 2
-    # the chirp phase alpha n^2 reaches ~1e5 rad; a 20-bit head of alpha times
-    # n^2 is exact, so rounding touches only the small remainder
-    alpha = 0.5 * (E[0, -1] - E[0, 0]) / (n_panels - 1) * times[1]
-    mantissa, exponent = math.frexp(alpha)
-    alpha_head = math.ldexp(round(mantissa * 2**20), exponent - 20)
-    chirp = np.exp(1j * (alpha_head * n2)) * np.exp(1j * ((alpha - alpha_head) * n2))
-    size = _fft_length(n_panels + n_points - 1)
-    kernel = np.zeros(size, dtype=complex)
-    kernel[:n_points] = chirp[:n_points].conj()
-    kernel[size - n_panels + 1 :] = chirp[n_panels - 1 : 0 : -1].conj()
-    conv = np.zeros((GL_NODES, size), dtype=complex)  # row k: c_pk chirp_p, zero-padded
-    conv[:, :n_panels] = c * chirp[:n_panels]
-    conv = np.fft.fft(conv)
-    conv *= np.fft.fft(kernel)
-    conv = np.fft.ifft(conv)[:, :n_points]
-    z = (np.exp(1j * np.outer(E[:, 0], times)) * conv).sum(axis=0) * chirp[:n_points]
+    n_panels = c.shape[1]
+    if n_panels >= turns:
+        bins = np.zeros((GL_NODES, -(-n_panels // turns) * turns))
+        bins[:, :n_panels] = c
+        z = np.fft.rfft(bins.reshape(GL_NODES, -1, turns).sum(axis=1))[:, :n_points].conj()
+    else:
+        chirp = np.exp(1j * math.pi / turns * (np.arange(max(n_panels, n_points)) ** 2 % (2 * turns)))
+        size = _fft_length(n_panels + n_points - 1)
+        kernel = np.zeros(size, dtype=complex)
+        kernel[:n_points] = chirp[:n_points].conj()
+        kernel[size - n_panels + 1 :] = chirp[n_panels - 1 : 0 : -1].conj()
+        z = np.zeros((GL_NODES, size), dtype=complex)  # row k: c_pk chirp_p, zero-padded
+        z[:, :n_panels] = c * chirp[:n_panels]
+        z = np.fft.fft(z)
+        z *= np.fft.fft(kernel)
+        z = np.fft.ifft(z)[:, :n_points] * chirp[:n_points]
+    coarse, fine = _split_phases(times, E[:, 0])
+    first = (np.exp(1j * coarse)[:, None, :] * np.exp(1j * fine)).reshape(-1, GL_NODES)[:n_points]  # exp(i E_k t_j)
+    z = np.einsum("jk,kj->j", first, z)
     out += z.imag if kind == "rate" else c.sum() - z.real
     out[0] = 0.0  # exact at t = 0, where the transform leaves rounding
     return out
@@ -361,14 +394,15 @@ def _uniform_transform(nodes: _NodeSet, times: np.ndarray, kind: str) -> np.ndar
 
 def _uniform_trace(node_set, reference, t_max: float, n_points: int, kind: str):
     """(times, values, spot-check tolerance) of kind 'rate' or 'gamma' on a
-    uniform grid over [0, t_max]: the transform over the nodes node_set(t_max),
-    spot-checked against the pointwise values reference(t)."""
+    uniform grid over [0, t_max]: the transform over the nodes node_set(t_max,
+    step=dt) laid out for the grid's step dt, spot-checked against the
+    pointwise values reference(t)."""
     if not 0.0 < t_max < math.inf:
         raise ValueError("t_max must be positive" if t_max <= 0 else "t_max must be positive and finite")
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     times = np.linspace(0.0, t_max, n_points)
-    nodes = node_set(t_max)
+    nodes = node_set(t_max, step=times[1])
     values = _uniform_transform(nodes, times, kind)
     floor = nodes.floor(kind)
     del nodes  # freed before the spot check builds the reference node sets
@@ -493,19 +527,34 @@ def fit_exponent_values(omegas: np.ndarray, J: np.ndarray, window: tuple[float, 
     return float(slope)
 
 
-def _omega_nodes(density, omega_max: float, t: float, refine: int) -> _NodeSet:
+def _omega_nodes(density, omega_max: float, t: float, refine: int, step: float | None = None) -> _NodeSet:
     """Nodes of int density(omega) sin(omega t') domega on [0, omega_max] for t' <= t:
-    panels against the oscillation of sin(omega t) plus 128 for the density itself,
-    graded at 0, where the density need not be smooth."""
+    n_p panels against the oscillation of sin(omega t) plus 128 for the density
+    itself, graded at 0, where the density need not be smooth.
+
+    Given the step dt of a uniform time grid (a trace's), the panels are laid
+    out for it (_uniform_transform): their width is h = 2 pi/(N dt) for the
+    least N that keeps h <= omega_max/n_p, rounded up to an FFT length
+    (_fft_length) when omega_max dt >= 2 pi, and they run to the first multiple
+    of h at or past omega_max, where the density is negligible."""
     n_p = (int(math.ceil(omega_max * t / math.pi)) + 128) << refine
-    w, weights = _gauss_legendre(_graded(np.linspace(0.0, omega_max, n_p + 1), GRADED_LEVELS))
-    return _NodeSet(coeff=weights * density(w), energy=w)
+    if step is None:
+        edges, step, turns = np.linspace(0.0, omega_max, n_p + 1), 0.0, 0
+    else:
+        turns = math.ceil(2.0 * math.pi * n_p / (omega_max * step))
+        if omega_max * step >= 2.0 * math.pi:
+            turns = _fft_length(turns)
+        h = 2.0 * math.pi / (turns * step)
+        edges = h * np.arange(math.ceil(omega_max / h) + 1)
+    w, weights = _gauss_legendre(_graded(edges, GRADED_LEVELS))
+    return _NodeSet(coeff=weights * density(w), energy=w, step=step, turns=turns)
 
 
-def _spectral_node_set(model: ReducedModel, t: float, refine: int = 0) -> _NodeSet:
-    """_omega_nodes of J_eff in SI, resolved for t' <= t seconds."""
+def _spectral_node_set(model: ReducedModel, t: float, refine: int = 0, step: float | None = None) -> _NodeSet:
+    """_omega_nodes of J_eff in SI, resolved for t' <= t seconds (and laid out
+    for a uniform grid of that step, if given)."""
     omega_max = _energy_reduced(QMAX, model.u_tilde) * model.E0 / HBAR
-    return _omega_nodes(partial(spectral_density_values, model), omega_max, t, refine)
+    return _omega_nodes(partial(spectral_density_values, model), omega_max, t, refine, step)
 
 
 def rate_from_spectrum(model: ReducedModel, t: float) -> float:

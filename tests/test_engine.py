@@ -491,15 +491,42 @@ class TestTraces:
             )
 
 
-def _uniform_set(name):
-    """(node set, window) laid out by _omega_nodes: the 3D default and the 1D free
-    gas (u_tilde = 0, where c/E is unbounded on the graded head) at 60 t0, the toy
-    at its CLI window."""
+def _uniform_set(name, n_points):
+    """(node set, times) laid out by _omega_nodes for an n_points grid: the 3D
+    default and the 1D free gas (u_tilde = 0, where c/E is unbounded on the
+    graded head) at 60 t0, the toy at its CLI window."""
     if name == "toy":
-        return _toy_nodes(ToyModel(s=2.5, omega_c=1.0), 64.0), 64.0
+        times = np.linspace(0.0, 64.0, n_points)
+        return _toy_nodes(ToyModel(s=2.5, omega_c=1.0), 64.0, step=times[1]), times
     config = default_config() if name == "3d_default" else default_config(dimension=1, a_B=0.0)
     m = model_from_config(config)
-    return _spectral_node_set(m, 60 * m.t0), 60 * m.t0
+    times = np.linspace(0.0, 60 * m.t0, n_points)
+    return _spectral_node_set(m, times[-1], step=times[1]), times
+
+
+def _direct_sum(nodes, times, kind):
+    """The transform's sum node by node, 50 times at a time so that no array
+    holds more than 50 x len(nodes.energy) values."""
+    out = np.empty(len(times))
+    for i in range(0, len(times), 50):
+        phase = np.multiply.outer(times[i : i + 50], nodes.energy)
+        if kind == "rate":
+            out[i : i + 50] = np.sin(phase) @ nodes.coeff
+        else:
+            out[i : i + 50] = (2.0 * np.sin(0.5 * phase) ** 2) @ (nodes.coeff / nodes.energy)
+    return out
+
+
+def _assert_matches_direct_sum(nodes, times, kind):
+    direct = _direct_sum(nodes, times, kind)
+    # a value far below the envelope bound is a cancellation of terms up to
+    # the bound, so any sum over these nodes carries ~1e-16 of the bound there
+    tol = max(1e-14 * np.abs(direct).max(), 1e-15 * nodes.envelope_bound(kind))
+    np.testing.assert_allclose(_uniform_transform(nodes, times, kind), direct, rtol=0.0, atol=tol)
+
+
+def _omega_max(m):
+    return _energy_reduced(QMAX, m.u_tilde) * m.E0 / HBAR
 
 
 class TestUniformTransform:
@@ -508,23 +535,63 @@ class TestUniformTransform:
     @pytest.mark.parametrize("name", ["3d_default", "1d_free", "toy"])
     def test_matches_direct_node_sum(self, name, n_points, kind):
         # 2000 and 2001 points leave a full and a ragged last block of the
-        # head's coarse x fine time split
-        nodes, t_max = _uniform_set(name)
-        times = np.linspace(0.0, t_max, n_points)
-        phase = np.multiply.outer(times, nodes.energy)
-        if kind == "rate":
-            direct = np.sin(phase) @ nodes.coeff
-        else:
-            direct = (2.0 * np.sin(0.5 * phase) ** 2) @ (nodes.coeff / nodes.energy)
-        # a value far below the envelope bound is a cancellation of terms up to
-        # the bound, so any sum over these nodes carries ~1e-16 of the bound there
-        tol = max(1e-14 * np.abs(direct).max(), 1e-15 * nodes.envelope_bound(kind))
-        np.testing.assert_allclose(_uniform_transform(nodes, times, kind), direct, rtol=0.0, atol=tol)
+        # head's coarse x fine time split; 2, 3 and 7 points fold the panels
+        _assert_matches_direct_sum(*_uniform_set(name, n_points), kind)
+
+    @pytest.mark.parametrize("kind", ["rate", "gamma"])
+    def test_folded_2000_point_window_matches_direct_node_sum(self, default_model, kind):
+        # at 420 t0 a 2000-point grid step turns the top frequency past a full
+        # cycle, so the panels fold onto N bins, as at every cap
+        times = np.linspace(0.0, 420 * default_model.t0, 2000)
+        assert _omega_max(default_model) * times[1] > 2 * math.pi
+        nodes = _spectral_node_set(default_model, times[-1], step=times[1])
+        assert (len(nodes.energy) - (engine.GRADED_LEVELS + 1) * GL_NODES) // GL_NODES > nodes.turns
+        _assert_matches_direct_sum(nodes, times, kind)
+
+    def test_node_set_not_laid_out_for_the_grid_is_rejected(self, default_model):
+        t_max = 60 * default_model.t0
+        times = np.linspace(0.0, t_max, 2000)
+        for nodes in (
+            _spectral_node_set(default_model, t_max),  # no grid
+            _spectral_node_set(default_model, t_max, step=t_max / 999),  # another step
+            _spectral_node_set(default_model, 0.25 * t_max, step=times[1]),  # a quarter of the window
+        ):
+            with pytest.raises(ValueError, match="not laid out"):
+                _uniform_transform(nodes, times, "rate")
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    @pytest.mark.parametrize("n_points, window", [(2000, "cap"), (500, "cap"), (7, "cap"), (2000, 5.0)])
+    def test_trace_node_set_keeps_the_panel_rule(self, dimension, n_points, window):
+        m = model_from_config(default_config(dimension=dimension))
+        t_max = (HORIZON_CAPS[dimension] if window == "cap" else window) * m.t0
+        omega_max, step = _omega_max(m), t_max / (n_points - 1)
+        n_p = math.ceil(omega_max * t_max / math.pi) + 128
+        plain, laid = _spectral_node_set(m, t_max), _spectral_node_set(m, t_max, step=step)
+        h = 2 * math.pi / (laid.turns * step)
+        head = (engine.GRADED_LEVELS + 1) * GL_NODES
+        panels = 1 + (len(laid.energy) - head) // GL_NODES
+        assert laid.step == step and h <= omega_max / n_p
+        assert omega_max <= panels * h < omega_max + h
+        if window == "cap" and n_points > 7:
+            assert panels <= 1.02 * n_p
+        # the same graded head on [0, h], scaled
+        assert laid.energy[head - 1] < h < laid.energy[head]
+        np.testing.assert_allclose(laid.energy[:head] / h, plain.energy[:head] * n_p / omega_max, rtol=1e-13)
+
+    def test_node_set_without_a_grid_is_the_plain_rule(self, default_model):
+        t = 60 * default_model.t0
+        nodes = _spectral_node_set(default_model, t)
+        omega_max = _omega_max(default_model)
+        n_p = math.ceil(omega_max * t / math.pi) + 128
+        w, weights = engine._gauss_legendre(engine._graded(np.linspace(0.0, omega_max, n_p + 1), engine.GRADED_LEVELS))
+        np.testing.assert_array_equal(nodes.energy, w)
+        np.testing.assert_array_equal(nodes.coeff, weights * engine.spectral_density_values(default_model, w))
+        assert (nodes.step, nodes.turns) == (0.0, 0)
 
     def test_fft_length_is_the_least_smooth_length_at_most_the_power_of_two(self):
-        # the range takes in 9362 and 16594, the 2000-point traces at the 3D/2D and
-        # 1D caps (7363 and 14595 panels), where the power of two is 16384 and 32768
-        smooth = sorted(f << k for f in (1, 3, 5) for k in range(16))
+        # the range takes in the 2000-point traces at the 3D/2D and 1D caps,
+        # whose folds are 4096 and 4050 long
+        smooth = sorted(2**a * 3**b * 5**c for a in range(16) for b in range(10) for c in range(7))
         for n in range(1, 20481):
             m = _fft_length(n)
             assert m == next(x for x in smooth if x >= n)
