@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-layer timings at the horizon caps: median seconds and minor page faults per call.
+"""Per-layer timings at the horizon caps: median seconds, minor page faults
+and traced peak bytes per call.
 
   PYTHONPATH=src python3 scripts/time_layers.py [--repeats 11]
 
@@ -20,11 +21,13 @@ times the layers of a scan and of measure, one at a time:
 
 Calls run back to back after one warm-up call each; a fault count is the
 process's minor faults (resource.getrusage ru_minflt) over the timed calls,
-divided by their number.  Like scripts/output_digest.py it sets the BLAS
-thread variables to 1 where they are unset, before numpy is imported.  It
-also runs on checkouts whose trace node sets are not laid out for the grid,
-so two trees can be compared; the numbers drift with the host, so compare
-runs made together.
+divided by their number.  The peak is the most memory tracemalloc saw held
+at once during one more call after them, untimed, so that tracing costs the
+timings nothing; it counts what the call allocates, its result included.
+Like scripts/output_digest.py it sets the BLAS thread variables to 1 where
+they are unset, before numpy is imported.  It also runs on checkouts whose
+trace node sets are not laid out for the grid, so two trees can be compared;
+the numbers drift with the host, so compare runs made together.
 """
 
 import argparse
@@ -34,6 +37,7 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from functools import cache, partial
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -47,7 +51,8 @@ N_POINTS = dynamics.DEFAULT_GRID
 
 
 def timed(fn, repeats: int):
-    """(median seconds, minor faults per call, last result) of fn() over repeats calls."""
+    """(median seconds, minor faults per call, traced peak bytes, last result) of
+    fn() over repeats calls; the peak is taken over one more, untimed call."""
     fn()
     seconds = []
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -56,7 +61,13 @@ def timed(fn, repeats: int):
         result = fn()
         seconds.append(time.perf_counter() - start)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    return statistics.median(seconds), faults / repeats, result
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return statistics.median(seconds), faults / repeats, peak, result
 
 
 def trace_nodes(model, times):
@@ -91,29 +102,31 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
 
-    row = lambda layer, s, faults, note="": print(f"  {layer:<18}{s * 1e3:9.2f} ms {faults:9.0f} faults  {note}")
+    row = lambda layer, s, faults, peak, note="": print(
+        f"  {layer:<18}{s * 1e3:9.2f} ms {faults:9.0f} faults {peak / 1e6:8.2f} MB peak  {note}"
+    )
     for dimension in (3, 2, 1):
         model = model_from_config(default_config(dimension=dimension))
         times = np.linspace(0.0, dynamics.HORIZON_CAPS[dimension] * model.t0, N_POINTS)
         print(f"{dimension}D cap, {dynamics.HORIZON_CAPS[dimension]:g} t0, {N_POINTS} points")
-        s, faults, nodes = timed(lambda: trace_nodes(model, times), args.repeats)
-        row("omega nodes", s, faults, f"{len(nodes.energy)} nodes")
-        s, faults, q_nodes = timed(lambda: engine._node_set(model, times[-1] / model.t0), args.repeats)
-        row("q nodes", s, faults, f"{len(q_nodes.energy)} nodes")
+        s, faults, peak, nodes = timed(lambda: trace_nodes(model, times), args.repeats)
+        row("omega nodes", s, faults, peak, f"{len(nodes.energy)} nodes")
+        s, faults, peak, q_nodes = timed(lambda: engine._node_set(model, times[-1] / model.t0), args.repeats)
+        row("q nodes", s, faults, peak, f"{len(q_nodes.energy)} nodes")
         del q_nodes
         for kind in ("rate", "gamma"):
-            s, faults, values = timed(lambda: engine._uniform_transform(nodes, times, kind), args.repeats)
-            row(f"transform {kind}", s, faults, transform_path(nodes))
+            s, faults, peak, values = timed(lambda: engine._uniform_transform(nodes, times, kind), args.repeats)
+            row(f"transform {kind}", s, faults, peak, transform_path(nodes))
             if kind == "rate":
                 gamma, floor = values, nodes.floor("rate")
         del nodes
         reference = lambda t: engine._pointwise(model, t / model.t0, "rate")
-        s, faults, _ = timed(lambda: engine._spot_check(reference, times, gamma, "rate", floor), args.repeats)
-        row("spot check", s, faults, "3 references")
+        s, faults, peak, _ = timed(lambda: engine._spot_check(reference, times, gamma, "rate", floor), args.repeats)
+        row("spot check", s, faults, peak, "3 references")
         cells = dynamics.negative_cells(gamma)
         if cells:
-            s, faults, _ = timed(lambda: end_solve(model, times, cells[0]), args.repeats)
-            row("end solve", s, faults, f"cell at {cells[0][0]}")
+            s, faults, peak, _ = timed(lambda: end_solve(model, times, cells[0]), args.repeats)
+            row("end solve", s, faults, peak, f"cell at {cells[0][0]}")
         else:
             print(f"  {'end solve':<18}{'-':>9}")
     return 0

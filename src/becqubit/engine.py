@@ -11,7 +11,10 @@ at twice, four times, ... their count (refine 1, 2, ...), and returns the
 first one that null rules on its own panels (_null_rule_error) certify to
 RATE_RTOL.  The same certificate serves the rates of an
 omega-variable spectrum, whose panels follow one rule (_omega_nodes):
-rate_from_spectrum over J_eff and the toy spectrum in analysis.
+rate_from_spectrum over J_eff and the toy spectrum in analysis.  Both kinds
+of node set are built by one routine (_panel_rule) a block of PANEL_BLOCK
+panels at a time, so that the build's temporaries are small enough to be
+reused from the heap instead of mapped and faulted in afresh on every build.
 
 The wavenumber integral is truncated at q = QMAX/tau where the Gaussian factor
 is below e^-32 ~ 1.3e-14 of its peak, negligible against RATE_RTOL.
@@ -54,6 +57,7 @@ RATE_RTOL = 1e-9
 GL_NODES = 16
 MAX_REFINE = 8
 GRADED_LEVELS = 40  # _omega_nodes' first panel is split down to 2^-40 of its width, _node_set's at most
+PANEL_BLOCK = 512  # panels a node set is built at a time (_panel_rule): 8192 nodes, 64 KB per float64 array
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GL_NODES)
 # Null rules of a panel (_null_rule_error): row i holds P_j at the nodes for
@@ -139,6 +143,26 @@ def _gauss_legendre(edges: np.ndarray):
     return nodes, weights
 
 
+def _panel_rule(edges: np.ndarray, density, energy):
+    """(coeff, energy) of a node set: weight * density(x) and energy(x) at the
+    nodes x of the GL_NODES-point rule on each panel between consecutive edges
+    (_gauss_legendre).  The two outputs are allocated once and filled
+    PANEL_BLOCK panels at a time, so that every temporary of the rule, the
+    density and the energy is 64 KB: it stays in cache, and below glibc's
+    128 KiB mmap threshold it is taken from the heap's free memory instead of
+    fresh pages faulted in on every build.  Each node goes through the same
+    elementwise operations as in one pass over all panels, so the values are
+    the same to the bit."""
+    n_panels = len(edges) - 1
+    coeff, E = np.empty(n_panels * GL_NODES), np.empty(n_panels * GL_NODES)
+    for start in range(0, n_panels, PANEL_BLOCK):
+        x, w = _gauss_legendre(edges[start : start + PANEL_BLOCK + 1])
+        nodes = slice(start * GL_NODES, start * GL_NODES + len(x))
+        np.multiply(w, density(x), out=coeff[nodes])
+        E[nodes] = energy(x)
+    return coeff, E
+
+
 def _graded(edges: np.ndarray, levels: int, width: float = math.inf, reach: float = 0.0) -> np.ndarray:
     """edges with the first panel graded geometrically toward 0 (down to 2^-levels
     of its width) for integrands that are not smooth at 0 or vary faster there,
@@ -175,11 +199,21 @@ class _NodeSet:
 
     def oscillation(self, s: float, kind: str) -> np.ndarray:
         """The factor of coeff at each node: sin(E s) ('rate') or 2 sin^2(E s/2)/E
-        ('gamma'), which is int_0^s sin(E s') ds' = (1 - cos(E s))/E."""
+        ('gamma'), which is int_0^s sin(E s') ds' = (1 - cos(E s))/E.  One fresh
+        array, worked in place by the operations of these formulas in their
+        order; (2 sin) sin, whose two factors must both be held, goes a block of
+        PANEL_BLOCK panels at a time."""
         if kind == "rate":
-            return np.sin(self.energy * s)
-        half = np.sin(0.5 * self.energy * s)
-        return 2.0 * half * half / self.energy
+            out = self.energy * s
+            return np.sin(out, out=out)
+        out = 0.5 * self.energy
+        out *= s
+        np.sin(out, out=out)
+        for start in range(0, len(out), PANEL_BLOCK * GL_NODES):
+            half = out[start : start + PANEL_BLOCK * GL_NODES]
+            np.multiply(2.0 * half, half, out=half)
+        out /= self.energy
+        return out
 
     def value(self, s: float, kind: str) -> float:
         """The integral of kind 'rate' or 'gamma' at time s over these nodes: the
@@ -212,8 +246,9 @@ def _node_set(model: ReducedModel, t_red: float, refine: int = 0) -> _NodeSet:
     edges = np.interp(np.linspace(0.0, phase[-1], n_p + 1), phase, q)
     pole = max(math.sqrt(2.0 * model.u_tilde), edges[1] * 0.5**GRADED_LEVELS)
     levels = max(0, math.ceil(math.log2(edges[1] / pole)))
-    q, w = _gauss_legendre(_graded(edges, levels, pole * 0.5 ** (2 + refine), 2.0 * pole))
-    return _NodeSet(coeff=w * _envelope(model, q), energy=_energy_reduced(q, model.u_tilde))
+    edges = _graded(edges, levels, pole * 0.5 ** (2 + refine), 2.0 * pole)
+    coeff, energy = _panel_rule(edges, partial(_envelope, model), lambda q: _energy_reduced(q, model.u_tilde))
+    return _NodeSet(coeff=coeff, energy=energy)
 
 
 def _null_rule_error(terms: np.ndarray, floor: float) -> float:
@@ -546,8 +581,8 @@ def _omega_nodes(density, omega_max: float, t: float, refine: int, step: float |
             turns = _fft_length(turns)
         h = 2.0 * math.pi / (turns * step)
         edges = h * np.arange(math.ceil(omega_max / h) + 1)
-    w, weights = _gauss_legendre(_graded(edges, GRADED_LEVELS))
-    return _NodeSet(coeff=weights * density(w), energy=w, step=step, turns=turns)
+    coeff, energy = _panel_rule(_graded(edges, GRADED_LEVELS), density, lambda w: w)
+    return _NodeSet(coeff=coeff, energy=energy, step=step, turns=turns)
 
 
 def _spectral_node_set(model: ReducedModel, t: float, refine: int = 0, step: float | None = None) -> _NodeSet:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from functools import partial
 from pathlib import Path
@@ -249,8 +250,8 @@ class TestRate:
         # wide at refine r: each level resolves the poles at least twice as
         # finely as the one before, over the same reach
         built = []
-        gauss_legendre = engine._gauss_legendre
-        monkeypatch.setattr(engine, "_gauss_legendre", lambda edges: built.append(edges) or gauss_legendre(edges))
+        panel_rule = engine._panel_rule
+        monkeypatch.setattr(engine, "_panel_rule", lambda edges, *rest: built.append(edges) or panel_rule(edges, *rest))
         configs = [random_config(rng) for _ in range(4)]
         configs += [default_config(dimension=d, a_B=f * A_RB) for d in (1, 2) for f in (1e-3, 1e-4)]
         for cfg in configs:
@@ -596,6 +597,90 @@ class TestUniformTransform:
             m = _fft_length(n)
             assert m == next(x for x in smooth if x >= n)
             assert m <= 1 << (n - 1).bit_length()
+
+
+def _one_shot(edges, density, energy):
+    """(coeff, energy) of the panel rule in one pass over all panels: the
+    reference the blocked builder must equal bit for bit."""
+    x, w = engine._gauss_legendre(edges)
+    return w * density(x), energy(x)
+
+
+def _at_cap(dimension):
+    """(default model of the dimension, its horizon cap in t0)."""
+    return model_from_config(default_config(dimension=dimension)), HORIZON_CAPS[dimension]
+
+
+def _cap_trace_nodes(dimension):
+    """The node set of the default model's 2000-point trace at its cap, laid out for the grid."""
+    m, cap = _at_cap(dimension)
+    return _spectral_node_set(m, cap * m.t0, step=cap * m.t0 / 1999)
+
+
+_NODE_SETS = {
+    **{f"q 3D refine {r}": lambda r=r: _node_set(_at_cap(3)[0], 400.0, r) for r in range(3)},
+    **{f"q {d}D cap": lambda d=d: _node_set(*_at_cap(d)) for d in (1, 2, 3)},
+    **{f"omega {d}D cap": lambda d=d: _cap_trace_nodes(d) for d in (1, 2, 3)},
+    "toy laid out": lambda: _uniform_set("toy", 2001)[0],
+    "toy refine 1": lambda: _toy_nodes(ToyModel(s=2.5, omega_c=1.0), 64.0, 1),
+}
+
+
+class TestNodeSetBuilder:
+    @pytest.mark.parametrize("n_panels", [100, engine.PANEL_BLOCK, 3 * engine.PANEL_BLOCK, 14_655])
+    def test_blocked_rule_is_the_one_shot_rule(self, default_model, n_panels):
+        # below one block, one block, a whole number of blocks, and a ragged
+        # last block (the 1D cap trace set's uniform panel count)
+        edges = np.linspace(0.0, QMAX, n_panels + 1) ** 1.5 / QMAX**0.5
+        density = partial(_envelope, default_model)
+        energy = lambda q: _energy_reduced(q, default_model.u_tilde)
+        coeff, E = engine._panel_rule(edges, density, energy)
+        assert len(coeff) == len(E) == n_panels * GL_NODES
+        for built, one_shot in zip((coeff, E), _one_shot(edges, density, energy)):
+            np.testing.assert_array_equal(built, one_shot)
+
+    @pytest.mark.parametrize("name", list(_NODE_SETS))
+    def test_node_sets_are_the_one_shot_rule(self, monkeypatch, name):
+        seen, panel_rule = [], engine._panel_rule
+        monkeypatch.setattr(engine, "_panel_rule", lambda *args: seen.append(args) or panel_rule(*args))
+        nodes = _NODE_SETS[name]()
+        ((edges, density, energy),) = seen
+        coeff, E = _one_shot(edges, density, energy)
+        np.testing.assert_array_equal(nodes.coeff, coeff)
+        np.testing.assert_array_equal(nodes.energy, E)
+
+    @pytest.mark.parametrize("kind", ["rate", "gamma"])
+    @pytest.mark.parametrize("s", [1e-160, 0.37, 400.0])
+    def test_oscillation_is_the_plain_formula(self, default_model, kind, s):
+        # 65 456 nodes, eight blocks and a ragged one; at s = 1e-160 sin^2 is
+        # subnormal, where 2 (sin sin) and (2 sin) sin differ in the last bit
+        nodes = _node_set(default_model, 400.0)
+        energy, coeff = nodes.energy.copy(), nodes.coeff.copy()
+        if kind == "rate":
+            plain = np.sin(nodes.energy * s)
+        else:
+            half = np.sin(0.5 * nodes.energy * s)
+            plain = 2.0 * half * half / nodes.energy
+        terms = nodes.oscillation(s, kind)
+        np.testing.assert_array_equal(terms, plain)
+        again = nodes.oscillation(s, kind)
+        assert not any(np.shares_memory(terms, a) for a in (again, nodes.energy, nodes.coeff))
+        terms *= nodes.coeff  # as _converged does
+        np.testing.assert_array_equal(nodes.energy, energy)
+        np.testing.assert_array_equal(nodes.coeff, coeff)
+        np.testing.assert_array_equal(again, plain)
+
+    @pytest.mark.parametrize("name", ["q 3D cap", "omega 3D cap"])
+    def test_build_peak_is_the_outputs_and_at_most_1_mb(self, name):
+        # one pass over all panels held ~5 (q) and ~8 MB (omega) of full-size
+        # temporaries at once on top of the two outputs
+        tracemalloc.start()
+        try:
+            nodes = _NODE_SETS[name]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= nodes.coeff.nbytes + nodes.energy.nbytes + 2**20
 
 
 class TestSpectralDensity:
