@@ -48,10 +48,10 @@ line ends with how many did.
 After the digests, one line per group counts the adaptive values
 (engine._converged) it certified at each refine level, and the line after it
 the nodes of every node set _converged built for them, rejected levels
-included, each node set once: measure's interval ends keep their refine
-levels and serve several values from one set.  A spot-check reference served
-from its cache (engine._spot_reference) counts only in the group that
-computed it.  A group that solved interval ends (dynamics._sign_change) has
+included, each node set once: the node sets of one window
+(engine._window_values) serve all of an interval end's values.  A spot-check
+reference served from its cache (engine._spot_reference) counts only in the
+group that computed it.  A group that solved interval ends (dynamics._sign_change) has
 one more line: the interior ends (not clipped at the window's end) and the
 rate evaluations they took.  The counts go in no digest.
 
@@ -139,15 +139,17 @@ ENDS = []  # the rate evaluations of every interior interval end dynamics._sign_
 
 
 def _count_levels(converged):
-    """converged, recording in CERTIFIED the last refine level node_set gave
-    and in NODES the size of every node set it gave that none gave before."""
+    """converged, recording in CERTIFIED the last refine level its node sets
+    came from and in NODES the size of every node set it was given that none
+    was given before.  The refine level is the node-set factory's last
+    argument, nodes(refine) or, in older checkouts, node_set(s, refine)."""
 
     def counted(node_set, s, kind, failure):
         built = []
 
-        def recording(s, refine):
-            built.append(refine)
-            nodes = node_set(s, refine)
+        def recording(*args):
+            built.append(args[-1])
+            nodes = node_set(*args)
             ref = SEEN.get(id(nodes))
             if ref is None or ref() is not nodes:
                 SEEN[id(nodes)] = weakref.ref(nodes)

@@ -8,16 +8,16 @@ For the default model of each dimension at its cap window (2000 points) it
 times the layers of a scan and of measure, one at a time:
 
   omega nodes    the trace's node set (engine._spectral_node_set, laid out
-                 for the grid where the engine lays sets out)
+                 for the grid)
   q nodes        the wavenumber node set at the cap (engine._node_set, refine 0)
   transform      engine._uniform_transform of kind rate and of kind gamma; the
                  line names the path (fold or bluestein), its FFT length and
                  the uniform panels
   spot check     engine._spot_check of the rate trace, its three references
-                 computed each call (engine._pointwise, not the cache)
+                 computed each call (engine._window_values, not the cache)
   end solve      one measure interval end: dynamics._sign_change on the first
-                 negative cell, then Gamma there, on the cell's own node sets
-                 ("-" when the default scan has no cell)
+                 negative cell, then Gamma there, on the cell's own window
+                 (engine._window_values; "-" when the default scan has no cell)
 
 Calls run back to back after one warm-up call each; a fault count is the
 process's minor faults (resource.getrusage ru_minflt) over the timed calls,
@@ -25,20 +25,17 @@ divided by their number.  The peak is the most memory tracemalloc saw held
 at once during one more call after them, untimed, so that tracing costs the
 timings nothing; it counts what the call allocates, its result included.
 Like scripts/output_digest.py it sets the BLAS thread variables to 1 where
-they are unset, before numpy is imported.  It also runs on checkouts whose
-trace node sets are not laid out for the grid, so two trees can be compared;
-the numbers drift with the host, so compare runs made together.
+they are unset, before numpy is imported.  To compare two trees, run each
+tree's own script, one after the other: the numbers drift with the host.
 """
 
 import argparse
-import inspect
 import os
 import resource
 import statistics
 import sys
 import time
 import tracemalloc
-from functools import cache, partial
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -70,27 +67,18 @@ def timed(fn, repeats: int):
     return statistics.median(seconds), faults / repeats, peak, result
 
 
-def trace_nodes(model, times):
-    """The rate trace's omega node set, laid out for the grid if the engine does that."""
-    if "step" in inspect.signature(engine._spectral_node_set).parameters:
-        return engine._spectral_node_set(model, times[-1], step=times[1])
-    return engine._spectral_node_set(model, times[-1])
-
-
 def transform_path(nodes) -> str:
     """'fold N' or 'bluestein M' with the FFT length, and the uniform panel count."""
     panels = (len(nodes.energy) - (engine.GRADED_LEVELS + 1) * engine.GL_NODES) // engine.GL_NODES
-    turns = getattr(nodes, "turns", 0)
-    if turns and panels >= turns:
-        return f"fold N={turns}, {panels} panels"
+    if panels >= nodes.turns:
+        return f"fold N={nodes.turns}, {panels} panels"
     return f"bluestein N={engine._fft_length(panels + N_POINTS - 1)}, {panels} panels"
 
 
 def end_solve(model, times, cell):
     """One end of measure: the sign change of the rate in [t_lo, t_hi], then Gamma there."""
     t_lo, t_hi = times[cell[0] - 1], times[cell[0]]
-    nodes = cache(partial(engine._node_set, model, t_hi / model.t0))
-    value = lambda t, kind: engine._converged(lambda s, refine: nodes(refine), t / model.t0, kind, "end solve")
+    value = engine._window_values(model, t_hi)
     t = dynamics._sign_change(lambda t: value(t, "rate"), t_lo, t_hi)
     return t, value(t, "gamma")
 
@@ -109,7 +97,7 @@ def main(argv=None) -> int:
         model = model_from_config(default_config(dimension=dimension))
         times = np.linspace(0.0, dynamics.HORIZON_CAPS[dimension] * model.t0, N_POINTS)
         print(f"{dimension}D cap, {dynamics.HORIZON_CAPS[dimension]:g} t0, {N_POINTS} points")
-        s, faults, peak, nodes = timed(lambda: trace_nodes(model, times), args.repeats)
+        s, faults, peak, nodes = timed(lambda: engine._spectral_node_set(model, times[-1], step=times[1]), args.repeats)
         row("omega nodes", s, faults, peak, f"{len(nodes.energy)} nodes")
         s, faults, peak, q_nodes = timed(lambda: engine._node_set(model, times[-1] / model.t0), args.repeats)
         row("q nodes", s, faults, peak, f"{len(q_nodes.energy)} nodes")
@@ -120,7 +108,7 @@ def main(argv=None) -> int:
             if kind == "rate":
                 gamma, floor = values, nodes.floor("rate")
         del nodes
-        reference = lambda t: engine._pointwise(model, t / model.t0, "rate")
+        reference = lambda t: engine._window_values(model, t)(t, "rate")
         s, faults, peak, _ = timed(lambda: engine._spot_check(reference, times, gamma, "rate", floor), args.repeats)
         row("spot check", s, faults, peak, "3 references")
         cells = dynamics.negative_cells(gamma)

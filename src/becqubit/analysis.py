@@ -257,7 +257,7 @@ def toy_rate(toy: ToyModel, t: float) -> float:
     integral Gamma(t) = int J(omega) (1 - cos omega t)/omega^2 domega; it puts
     the Markovian boundary of the Gaussian-cutoff family at s = 2.
     """
-    return engine._converged(partial(_toy_nodes, toy), t, "rate", "toy rate quadrature did not converge")
+    return engine._converged(partial(_toy_nodes, toy, t), t, "rate", "toy rate quadrature did not converge")
 
 
 def toy_rate_trace(toy: ToyModel, t_max: float, n_points: int = TOY_GRID):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
 
 import numpy as np
 
@@ -280,19 +279,16 @@ def measure(
     grid_size: int = DEFAULT_GRID,
 ) -> NonMarkovianityResult:
     """Refine the scan's cells into negative intervals and evaluate the back-flow
-    measures.  Each end (_sign_change) and Gamma there are certified values
-    (engine._converged) on node sets built for the cell's upper grid time alone,
-    refine 0 and only the finer levels the certificate asks for."""
+    measures.  Each end (_sign_change) and Gamma there are certified values on
+    the window of the cell's upper grid time (engine._window_values), refine 0
+    and only the finer levels the certificate asks for."""
     sc = scan(model, t_max, grid_size)
     Gamma = {}  # at each end
 
     def end(t_lo: float, t_hi: float) -> float:
-        nodes = cache(partial(engine._node_set, model, t_hi / model.t0))  # refine level -> nodes for every t <= t_hi
-        value = lambda t, kind: engine._converged(
-            lambda s, refine: nodes(refine), t / model.t0, kind, f"{kind} quadrature did not converge at t={t} s"
-        )
+        value = engine._window_values(model, t_hi)
         t = _sign_change(lambda t: value(t, "rate"), t_lo, t_hi)
-        Gamma[t] = model.A_tilde * value(t, "gamma")
+        Gamma[t] = value(t, "gamma")
         return t
 
     intervals = _intervals_from_cells(sc.trace.times.tolist(), sc.cells, end)
@@ -359,21 +355,18 @@ def verify_optimal_pair(
     n_random_pairs: int = 1000,
     seed: int = DEFAULT_SEED,
 ) -> OptimalPairReport:
-    """Check no random pair regains more distinguishability than the optimal one."""
+    """Check no random pair regains more distinguishability than the optimal one, whose regain is N_blp."""
     if n_random_pairs < 100:
         raise ValueError("need at least 100 random pairs")
     result = measure(model, t_max)
     exponents = result.diagnostics["gamma_exponents"]
-    optimal = total_regain(
-        (QubitState((1.0, 0.0, 0.0)), QubitState((-1.0, 0.0, 0.0))), exponents
-    )
     best = 0.0
     for pair in sample_bloch_pairs(n_random_pairs, seed):
         best = max(best, total_regain(pair, exponents))
-    ratio = best / optimal if optimal > 0.0 else (0.0 if best == 0.0 else math.inf)
+    ratio = best / result.N_blp if result.N_blp > 0.0 else (0.0 if best == 0.0 else math.inf)
     return OptimalPairReport(
         n_pairs=n_random_pairs,
-        optimal_regain=optimal,
+        optimal_regain=result.N_blp,
         max_random_regain=best,
         max_ratio=ratio,
         seed=seed,

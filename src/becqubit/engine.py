@@ -36,16 +36,17 @@ chirp-z transform by one FFT convolution (Bluestein) with the exact chirp
 exp(i pi (p^2 mod 2N)/N).
 _uniform_trace serves the model and the toy rate trace in analysis alike: every
 trace is spot-checked (_spot_check) at its first step, its last point and its
-extremum against a pointwise reference; for the model that is the adaptive
-wavenumber quadrature, an independent route, computed once per distinct
-(model, time, kind) (_spot_reference).
+extremum against a pointwise reference; for the model that is the certified
+value on the window [0, t] (_window_values, the one routine behind rate(),
+decoherence() and the interval ends of dynamics.measure), an independent
+route, computed once per distinct (model, t, kind) (_spot_reference).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -201,8 +202,8 @@ class _NodeSet:
         """The factor of coeff at each node: sin(E s) ('rate') or 2 sin^2(E s/2)/E
         ('gamma'), which is int_0^s sin(E s') ds' = (1 - cos(E s))/E.  One fresh
         array, worked in place by the operations of these formulas in their
-        order; (2 sin) sin, whose two factors must both be held, goes a block of
-        PANEL_BLOCK panels at a time."""
+        order; (2 sin) sin, whose two factors must both be held (sin^2 doubled
+        differs where sin^2 is subnormal), goes PANEL_BLOCK panels at a time."""
         if kind == "rate":
             out = self.energy * s
             return np.sin(out, out=out)
@@ -267,10 +268,10 @@ def _null_rule_error(terms: np.ndarray, floor: float) -> float:
     return 10.0 * e1 if e1 <= e2 or 100.0 * e1 <= floor else math.inf
 
 
-def _converged(node_set, s: float, kind: str, failure: str) -> float:
+def _converged(nodes, s: float, kind: str, failure: str) -> float:
     """The integral of kind 'rate' or 'gamma' (_NodeSet.oscillation) at finite
-    time s >= 0, converged to RATE_RTOL: the value of node_set(s, refine) for
-    the first refine = 0, 1, ..., MAX_REFINE whose null-rule estimate
+    time s >= 0, converged to RATE_RTOL: the value of nodes(refine), one window's
+    node sets, for the first refine = 0, 1, ..., MAX_REFINE whose null-rule estimate
     (_null_rule_error) is within RATE_RTOL of it or below the floor of that
     node set, under which a difference is cancellation noise.  If none is,
     ConvergenceError(failure) carries the relative change between the last
@@ -281,21 +282,24 @@ def _converged(node_set, s: float, kind: str, failure: str) -> float:
         return 0.0
     prev = value = math.nan
     for refine in range(MAX_REFINE + 1):
-        nodes = node_set(s, refine)
-        floor = nodes.floor(kind)
-        terms = nodes.oscillation(s, kind)
-        prev, value = value, float(nodes.coeff @ terms)
-        terms *= nodes.coeff
+        node_set = nodes(refine)
+        floor = node_set.floor(kind)
+        terms = node_set.oscillation(s, kind)
+        prev, value = value, float(node_set.coeff @ terms)
+        terms *= node_set.coeff
         if _null_rule_error(terms, floor) <= max(RATE_RTOL * abs(value), floor):
             return value
-        del nodes, terms  # freed before the next level is built
+        del node_set, terms  # freed before the next level is built, unless nodes keeps the set
     raise ConvergenceError(failure, abs(value - prev) / max(abs(value), floor, 1e-300))
 
 
-def _pointwise(model: ReducedModel, s: float, kind: str) -> float:
-    """Adaptive value at reduced time s >= 0: gamma in s^-1 (kind 'rate') or Gamma ('gamma')."""
-    what, scale = ("rate", model.A_tilde / model.t0) if kind == "rate" else ("decoherence", model.A_tilde)
-    return scale * _converged(partial(_node_set, model), s, kind, f"{what} quadrature did not converge at t={s} t0")
+def _window_values(model: ReducedModel, t_max: float):
+    """value(t, kind): gamma in s^-1 (kind 'rate') or Gamma ('gamma') at t seconds, 0 <= t <= t_max,
+    certified (_converged) on the node sets of the window [0, t_max] (_node_set), each refine level built once."""
+    nodes = cache(partial(_node_set, model, t_max / model.t0))
+    scale = {"rate": model.A_tilde / model.t0, "gamma": model.A_tilde}
+    return lambda t, kind: scale[kind] * _converged(
+        nodes, t / model.t0, kind, f"{kind} quadrature did not converge at t={t} s")
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +309,12 @@ def _pointwise(model: ReducedModel, s: float, kind: str) -> float:
 
 def rate(model: ReducedModel, t: float) -> float:
     """Dephasing rate gamma(t) in s^-1 at time t (seconds)."""
-    return _pointwise(model, t / model.t0, "rate")
+    return _window_values(model, t)(t, "rate")
 
 
 def decoherence(model: ReducedModel, t: float) -> float:
     """Decoherence exponent Gamma(t) = int_0^t gamma, dimensionless."""
-    return _pointwise(model, t / model.t0, "gamma")
+    return _window_values(model, t)(t, "gamma")
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +457,14 @@ def build_rate_trace(model: ReducedModel, t_max: float, n_points: int = 2000) ->
     rel_tol and gated at 100 * RATE_RTOL (the spot values themselves are
     converged to RATE_RTOL).
     """
-    reference = lambda t: _spot_reference(model, t / model.t0, "rate")
+    reference = lambda t: _spot_reference(model, t, "rate")
     times, gamma, rel_tol = _uniform_trace(partial(_spectral_node_set, model), reference, t_max, n_points, "rate")
     return RateTrace(times=times, gamma=gamma, rel_tol=rel_tol)
 
 
 def build_decoherence_trace(model: ReducedModel, t_max: float, n_points: int = 2000) -> DecoherenceTrace:
     """Gamma(t) and coherence exp(-Gamma) on a uniform grid over [0, t_max]."""
-    reference = lambda t: _spot_reference(model, t / model.t0, "gamma")
+    reference = lambda t: _spot_reference(model, t, "gamma")
     times, Gamma, _ = _uniform_trace(partial(_spectral_node_set, model), reference, t_max, n_points, "gamma")
     return DecoherenceTrace(times=times, Gamma=Gamma, coherence=np.exp(-Gamma))
 
@@ -468,10 +472,9 @@ def build_decoherence_trace(model: ReducedModel, t_max: float, n_points: int = 2
 # The spot-check references, memoized: a caller that traces the same model and
 # window again (a repeated scan, or the same trace rebuilt) gets its references
 # back instead of paying the adaptive quadrature for each.  The key is exact (a
-# frozen model, the float s) and only floats are held; a ConvergenceError is
-# not cached, so it is raised again on the next call.  rate() and decoherence()
-# call _pointwise directly, uncached.
-_spot_reference = lru_cache(maxsize=32)(_pointwise)
+# frozen model, the float t) and only floats are held; a ConvergenceError is
+# not cached, so it is raised again on the next call.
+_spot_reference = lru_cache(maxsize=32)(lambda model, t, kind: _window_values(model, t)(t, kind))
 
 
 def _spot_check(reference, times, values, kind: str, floor: float) -> float:
@@ -576,8 +579,11 @@ def _omega_nodes(density, omega_max: float, t: float, refine: int, step: float |
     if step is None:
         edges, step, turns = np.linspace(0.0, omega_max, n_p + 1), 0.0, 0
     else:
-        turns = math.ceil(2.0 * math.pi * n_p / (omega_max * step))
-        if omega_max * step >= 2.0 * math.pi:
+        width = float(omega_max * step)  # not numpy's: its quotient below may overflow to inf without a warning
+        if not (width > 0.0 and 2.0 * math.pi * n_p / width < 2.0**62):  # 2N fits the chirp's int64
+            raise ValueError(f"the window t_max = {t} is too short for a grid step of {step}")
+        turns = math.ceil(2.0 * math.pi * n_p / width)
+        if width >= 2.0 * math.pi:
             turns = _fft_length(turns)
         h = 2.0 * math.pi / (turns * step)
         edges = h * np.arange(math.ceil(omega_max / h) + 1)
@@ -599,4 +605,4 @@ def rate_from_spectrum(model: ReducedModel, t: float) -> float:
     and nodes.  Used as a self-consistency check of the spectral extraction.
     The first omega panel is graded: J_eff ~ omega^-1/2 at 0 in the 1D free gas.
     """
-    return _converged(partial(_spectral_node_set, model), t, "rate", "spectral reconstruction did not converge")
+    return _converged(partial(_spectral_node_set, model, t), t, "rate", "spectral reconstruction did not converge")

@@ -123,7 +123,7 @@ def test_criterion_6_oracle_equivalence(rng):
     for _ in range(20):
         model = model_from_config(random_config(rng))
         s = float(rng.uniform(0.05, 30.0))
-        base = _converged(partial(_node_set, model), s, "rate", "rate")
+        base = _converged(partial(_node_set, model, s), s, "rate", "rate")
         doubled = _node_set(model, s, refine=2).value(s, "rate")
         scale = max(abs(base), 1e-12 * _node_set(model, s).envelope_bound("rate"))
         worst = max(worst, abs(doubled - base) / scale)

@@ -244,6 +244,14 @@ class TestVerifyPairsCommand:
             digests.append(next(line for line in lines if line.startswith("# digest=")))
         assert digests[0] != digests[1]
 
+    def test_no_interval_regain_is_a_float(self, capsys):
+        # the optimal regain is measure's N_blp, the float 0.0 when the window
+        # holds no negative interval
+        code, out, _ = run_cli(capsys, "verify-pairs", "--pairs", "100", "--t-max-t0", "1")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows == [["100", "0.00000000000e+00", "0.00000000000e+00", "0.00000000000e+00", "20120731"]]
+
 
 class TestConfigHandling:
     def test_config_file_and_flag_precedence(self, capsys, tmp_path):
@@ -358,6 +366,33 @@ class TestConfigFlags:
         code, _, err = run_cli(capsys, command, "--t-max-t0", value)
         assert code == 2
         assert "t_max must be positive" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--t-max-t0", "1e-16"],
+            ["toy", "--t-max-wc", "1e-15"],
+            ["measure", "--t-max-t0", "1e-14"],
+            ["crossover", "--t-max-t0", "1e-14"],
+            ["rate", "--points", "2", "--t-max-t0", "1e-310"],  # the layout's N is infinite
+            ["rate", "--t-max-t0", "1e-318"],  # the grid step is 0
+        ],
+    )
+    def test_window_too_short_for_its_grid_exit_2(self, capsys, argv):
+        # the trace transform's chirp takes its angles modulo 2N in int64, and
+        # these windows need N >= 2^62 uniform-panel bins
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "the window t_max = " in err and "is too short for a grid step of" in err
+
+    @pytest.mark.parametrize("argv, expected", [(["measure"], 0), (["crossover", "--tol-arb", "2e-2"], 4)])
+    def test_shortest_working_window_still_runs(self, capsys, argv, expected):
+        # 1e-13 t0 keeps N below 2^62: measure finds no interval in it, and the
+        # top of the crossover bracket is Markovian there (a bracket failure)
+        code, _, err = run_cli(capsys, *argv, "--t-max-t0", "1e-13")
+        assert code == expected
+        assert "too short" not in err
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize("argv", [["crossover", "--tol-arb"], ["toy", "--critical", "--tol"]])

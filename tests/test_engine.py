@@ -202,7 +202,7 @@ class TestRate:
             cfg = random_config(rng)
             m = model_from_config(cfg)
             t_red = float(rng.uniform(0.05, 30.0))
-            base = _converged(partial(_node_set, m), t_red, "rate", "rate")
+            base = _converged(partial(_node_set, m, t_red), t_red, "rate", "rate")
             doubled = _node_set(m, t_red, refine=2).value(t_red, "rate")
             assert doubled == pytest.approx(base, rel=1e-9, abs=1e-30)
 
@@ -315,12 +315,12 @@ class TestRate:
             )
 
 
-def _recording(node_set, levels):
-    """node_set, appending each refine level it is asked for to levels."""
+def _recording(nodes, levels):
+    """nodes, appending each refine level it is asked for to levels."""
 
-    def build(s, refine):
+    def build(refine):
         levels.append(refine)
-        return node_set(s, refine)
+        return nodes(refine)
 
     return build
 
@@ -357,7 +357,7 @@ class TestNullRuleCertificate:
                 refined = _node_set(m, s, 1)
                 v0, v1, floor = _node_set(m, s, 0).value(s, kind), refined.value(s, kind), refined.floor(kind)
                 levels = []
-                value = _converged(_recording(partial(_node_set, m), levels), s, kind, kind)
+                value = _converged(_recording(partial(_node_set, m, s), levels), s, kind, kind)
                 if abs(v1 - v0) > max(RATE_RTOL * abs(v1), floor):
                     rejected.append((s, kind))
                     assert max(levels) > 1, (s, kind, levels)
@@ -375,7 +375,7 @@ class TestNullRuleCertificate:
         # is returned as built
         monkeypatch.setattr(engine, "_graded", lambda edges, *args: edges)
         m, s, levels = model_from_config(default_config(a_B=0.0)), HORIZON_CAPS[3], []
-        value = _converged(_recording(partial(_node_set, m), levels), s, "rate", "rate")
+        value = _converged(_recording(partial(_node_set, m, s), levels), s, "rate", "rate")
         assert levels == [0, 1]
         assert value == _node_set(m, s, 1).value(s, "rate")
 
@@ -387,7 +387,7 @@ class TestNullRuleCertificate:
         for s in (0.3, 7.0, 90.0, 400.0, HORIZON_CAPS[dimension]):
             for kind in ("rate", "gamma"):
                 levels = []
-                _converged(_recording(partial(_node_set, m), levels), s, kind, kind)
+                _converged(_recording(partial(_node_set, m, s), levels), s, kind, kind)
                 assert levels == [0], (s, kind)
 
     def test_random_draws_certify_at_refine_0(self, rng):
@@ -397,7 +397,7 @@ class TestNullRuleCertificate:
             s = float(rng.uniform(0.05, HORIZON_CAPS[m.dimension]))
             for kind in ("rate", "gamma"):
                 levels = []
-                value = _converged(_recording(partial(_node_set, m), levels), s, kind, kind)
+                value = _converged(_recording(partial(_node_set, m, s), levels), s, kind, kind)
                 assert levels == [0]
                 assert value == _node_set(m, s, 0).value(s, kind)
 
